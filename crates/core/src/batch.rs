@@ -224,15 +224,15 @@ impl Sts {
     ) -> (Vec<Vec<PairOutcome>>, BatchReport) {
         // The degraded API is the supervised job under the legacy
         // contract: unlimited budget, no retries (a panicked cell is
-        // terminal and reported as `Panicked`), no checkpoint. With no
-        // checkpoint configured the supervised path cannot fail.
+        // terminal and reported as `Panicked`). An in-process job
+        // cannot fail.
         let (matrix, report) = self
             .similarity_matrix_supervised(
                 queries,
                 candidates,
                 &crate::job::JobConfig::legacy_degraded(),
             )
-            .expect("supervised job without checkpoint is infallible");
+            .expect("in-process supervised job is infallible");
         (matrix, report.batch)
     }
 
@@ -254,7 +254,7 @@ impl Sts {
                 k,
                 &crate::job::JobConfig::legacy_degraded(),
             )
-            .expect("supervised job without checkpoint is infallible");
+            .expect("in-process supervised job is infallible");
         (top, report.batch)
     }
 }

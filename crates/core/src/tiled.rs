@@ -1,37 +1,36 @@
-//! Out-of-core tiled similarity matrices: crash-safe spill/merge on
-//! top of the supervised job engine.
+//! The matrix engine: supervised similarity matrices, in memory or
+//! out of core in crash-safe tiles.
 //!
-//! [`Sts::similarity_matrix_supervised`] holds the whole `N × M` cell
-//! vector in memory for the life of the job. At production corpus
-//! sizes that is the binding constraint long before wall-clock is: a
-//! 200k × 200k matrix of outcomes does not fit, and an OOM kill at 90%
-//! loses everything the checkpoint interval did not cover. This module
-//! removes the constraint without weakening a single supervised
-//! guarantee:
+//! Every supervised matrix job runs here. The pair space is dealt into
+//! **tiles** ([`TileConfig::tile_pairs`] pairs each, derivable from a
+//! byte budget via [`TileConfig::with_memory_budget`]); each tile is
+//! computed on the configured engine — the in-process pool or the
+//! `sts-worker` subprocess fleet, per
+//! [`JobConfig::exec`](crate::job::JobConfig::exec) — and the cells are
+//! stream-merged tile by tile into the caller's sink.
+//! [`Sts::similarity_matrix_supervised`] is the engine with no tiling:
+//! one whole-space tile held in memory, scored by one pool run over
+//! `chunk_pairs` chunks, with no storage, no tile encoding and no
+//! read-back.
 //!
-//! * the pair space is dealt into **tiles** ([`TileConfig::tile_pairs`]
-//!   pairs each, derivable from a byte budget via
-//!   [`TileConfig::with_memory_budget`]);
-//! * each tile is computed on the existing engine — the in-process
-//!   pool or the `sts-worker` subprocess fleet, per
-//!   [`JobConfig::exec`](crate::job::JobConfig::exec) — then
-//!   **spilled** to its own file through the
-//!   [`Storage`](sts_runtime::Storage) trait with the checkpoint
-//!   layer's full durability discipline (tmp write → fsync → rename →
-//!   dir fsync) and **read-back verified** before the in-memory copy
-//!   is dropped;
+//! [`Sts::similarity_matrix_tiled`] removes the memory bound without
+//! weakening a single supervised guarantee:
+//!
+//! * each completed tile is **spilled** to its own file through the
+//!   [`Storage`](sts_runtime::Storage) trait (tmp write → fsync →
+//!   rename → dir fsync) and **read-back verified** before the
+//!   in-memory copy is dropped;
 //! * tile files are bound to the job fingerprint and digest-protected
 //!   ([`sts_runtime::tile`]): a torn write, flipped byte or stale file
 //!   is *detected*, quarantined aside as `.corrupt` evidence and
 //!   recomputed — never silently read back;
-//! * completed tiles **are** the checkpoint: a killed job resumes by
-//!   reloading verified tiles and recomputing only the rest, so the
-//!   resumed result is byte-identical to an uninterrupted run (the
-//!   default [`StpCacheMode::Exact`](crate::StpCacheMode) scoring path
-//!   is deterministic and visitation-order independent);
-//! * the final matrix is **stream-merged** tile by tile into the
-//!   caller's sink, so the engine itself holds at most one tile plus
-//!   any spill-failed fallbacks — the honest bound is reported as
+//! * completed tiles are the job's only crash-safe state: a killed job
+//!   resumes by reloading verified tiles and recomputing only the
+//!   rest, so the resumed result is byte-identical to an uninterrupted
+//!   run (the default [`StpCacheMode::Exact`](crate::StpCacheMode)
+//!   scoring path is deterministic and visitation-order independent);
+//! * the merge holds at most one tile plus any spill-failed fallbacks
+//!   — the honest bound is reported as
 //!   [`TileStats::max_resident_cells`] and the measured one as
 //!   [`TileStats::peak_rss_bytes`].
 //!
@@ -45,8 +44,8 @@
 
 use crate::batch::{prepare_all, BatchReport, PairOutcome};
 use crate::job::{
-    check_start, from_record, is_terminal, job_fingerprint, job_telemetry, reshape, to_record,
-    ExecMode, IsolateOptions, JobConfig, JobError, JobReport,
+    is_terminal, job_fingerprint, job_telemetry, zeroed_stats, ExecMode, IsolateOptions, JobConfig,
+    JobError, JobReport,
 };
 use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
 use crate::worker;
@@ -59,8 +58,8 @@ use sts_isolate::{IsolateConfig, WorkerSpec};
 use sts_obs::trace;
 use sts_runtime::pool::{run_supervised_with, ChunkStatus, PoolConfig};
 use sts_runtime::{
-    Budget, FsStorage, IsolateStats, JobState, JobStats, PairChunk, PairSpace, StopReason, Storage,
-    TileData, TileError, TileStats, TileStore,
+    Budget, CellRecord, FsStorage, IsolateStats, JobState, PairChunk, PairSpace, StopReason,
+    Storage, TileData, TileError, TileStats, TileStore,
 };
 use sts_traj::Trajectory;
 
@@ -130,25 +129,26 @@ impl TileConfig {
 enum TileSource {
     /// Durably on disk, verified; reloaded one at a time at merge.
     Disk,
-    /// Held in memory: the spill failed, or the run stopped mid-tile
-    /// (partial tiles are never spilled). Dense, tile-length.
+    /// Held in memory: the job is untiled, the spill failed, or the
+    /// run stopped mid-tile (partial tiles are never spilled). Dense,
+    /// tile-length.
     Memory(Vec<PairOutcome>),
     /// Never attempted — the run stopped before this tile.
     Skipped,
 }
 
-/// One tile's compute outcome.
-struct TileRun {
-    /// Dense outcomes for the tile's slab (`Skipped` where the run
-    /// stopped first).
-    outs: Vec<PairOutcome>,
-    /// Why the engine under this tile stopped early, if it did.
-    stop: Option<StopReason>,
-    /// Pool-level chunk retries (in-process only).
-    pool_retries: u64,
-    /// Scheduling/run time accounting (in-process only).
-    wait: Duration,
-    run: Duration,
+/// What every tile computation of one job shares.
+struct JobCtx<'a> {
+    cfg: &'a JobConfig,
+    space: PairSpace,
+    // Fields drop in declaration order. Freeing the candidates before
+    // the queries lets the allocator hand the freed space back between
+    // matrices; the reverse order measured ~10 MB more peak RSS on the
+    // 256-taxi matrix benchmark.
+    prepared_c: Vec<Option<PreparedTrajectory>>,
+    prepared_q: Vec<Option<PreparedTrajectory>>,
+    /// Resolved subprocess execution, when `cfg.exec` asks for it.
+    sub: Option<SubExec<'a>>,
 }
 
 /// Resolved subprocess execution context, prepared once per job.
@@ -158,15 +158,31 @@ struct SubExec<'a> {
     preamble: Vec<String>,
 }
 
+/// The engine's accounting across every tile it computes: scheduling
+/// chunks, retries, time and isolation, as they end up in
+/// [`JobStats`](sts_runtime::JobStats).
+#[derive(Default)]
+struct Tally {
+    cell_retries: AtomicU64,
+    pool_retries: u64,
+    chunks_total: usize,
+    chunks_completed: usize,
+    chunks_failed: usize,
+    slow_chunks: Vec<usize>,
+    wait: Duration,
+    run: Duration,
+    isolate: Option<IsolateStats>,
+}
+
 impl Sts {
     /// The supervised similarity matrix computed **out of core**: same
     /// contract as
     /// [`similarity_matrix_supervised`](Sts::similarity_matrix_supervised)
-    /// — budget, cancellation, retries, fault injection, in-process or
-    /// subprocess execution — but progress is spilled per tile and the
-    /// engine never holds more than one tile of cells (see the
-    /// [module docs](crate::tiled)). The returned full matrix is the
-    /// *caller's* memory; use
+    /// — budget, cancellation, retries, fault injection, in-process,
+    /// subprocess or sharded execution — but progress is spilled per
+    /// tile and the engine never holds more than one tile of cells
+    /// (see the [module docs](crate::tiled)). The returned full matrix
+    /// is the *caller's* memory; use
     /// [`top_k_matrix_tiled`](Sts::top_k_matrix_tiled) when the output
     /// itself must stay bounded.
     ///
@@ -179,12 +195,37 @@ impl Sts {
         cfg: &JobConfig,
         tiling: &TileConfig,
     ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
-        let space = PairSpace::new(queries.len(), candidates.len());
-        let mut cells = vec![PairOutcome::Skipped; space.len()];
-        let report = self.tiled_engine(queries, candidates, cfg, tiling, &mut |lin, outcome| {
-            cells[lin] = outcome;
+        self.matrix_job(queries, candidates, cfg, Some(tiling))
+    }
+
+    /// Both matrix entry points: the engine's tiles, collected into
+    /// the row-major matrix. Tiles arrive in ascending order, so each
+    /// cell appends to its row.
+    pub(crate) fn matrix_job(
+        &self,
+        queries: &[Trajectory],
+        candidates: &[Trajectory],
+        cfg: &JobConfig,
+        tiling: Option<&TileConfig>,
+    ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
+        let cols = candidates.len();
+        let mut rows: Vec<Vec<PairOutcome>> = Vec::new();
+        let report = self.matrix_engine(queries, candidates, cfg, tiling, &mut |start, outs| {
+            if rows.is_empty() {
+                rows = (0..queries.len())
+                    .map(|_| Vec::with_capacity(cols))
+                    .collect();
+            }
+            for (off, outcome) in outs.into_iter().enumerate() {
+                rows[(start + off) / cols].push(outcome);
+            }
         })?;
-        Ok((reshape(cells, &space), report))
+        // A job stopped before it started emits no tiles.
+        rows.resize_with(queries.len(), Vec::new);
+        for row in &mut rows {
+            row.resize(cols, PairOutcome::Skipped);
+        }
+        Ok((rows, report))
     }
 
     /// Top-k nearest candidates for **every** query row, out of core:
@@ -205,16 +246,20 @@ impl Sts {
         let cols = candidates.len();
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
         let prune_at = k.saturating_mul(2).max(16);
-        let report = self.tiled_engine(queries, candidates, cfg, tiling, &mut |lin, outcome| {
-            if let Some(s) = outcome.score() {
-                let row = &mut rows[lin / cols];
-                row.push((lin % cols, s));
-                if row.len() >= prune_at {
-                    sort_scores_descending(row);
-                    row.truncate(k);
+        let mut sink = |start: usize, outs: Vec<PairOutcome>| {
+            for (off, outcome) in outs.into_iter().enumerate() {
+                if let Some(s) = outcome.score() {
+                    let lin = start + off;
+                    let row = &mut rows[lin / cols];
+                    row.push((lin % cols, s));
+                    if row.len() >= prune_at {
+                        sort_scores_descending(row);
+                        row.truncate(k);
+                    }
                 }
             }
-        })?;
+        };
+        let report = self.matrix_engine(queries, candidates, cfg, Some(tiling), &mut sink)?;
         for row in &mut rows {
             sort_scores_descending(row);
             row.truncate(k);
@@ -237,45 +282,45 @@ impl Sts {
         Ok((rows.pop().unwrap_or_default(), report))
     }
 
-    /// The engine both public entry points share. `sink` receives
-    /// every non-skipped cell exactly once, in ascending linear-index
-    /// order; cells the run never reached are simply not emitted (the
-    /// matrix sink pre-fills `Skipped`).
-    fn tiled_engine(
+    /// The engine every supervised matrix job runs on. `sink` receives
+    /// every tile's dense outcomes exactly once, in ascending order,
+    /// as `(first linear index, cells)`; with `tiling` absent there is
+    /// one whole-space tile that never touches storage.
+    fn matrix_engine(
         &self,
         queries: &[Trajectory],
         candidates: &[Trajectory],
         cfg: &JobConfig,
-        tiling: &TileConfig,
-        sink: &mut dyn FnMut(usize, PairOutcome),
+        tiling: Option<&TileConfig>,
+        sink: &mut dyn FnMut(usize, Vec<PairOutcome>),
     ) -> Result<JobReport, JobError> {
         let started = Instant::now();
-        let _job_span = trace::span("job.tiled");
+        let _job_span = trace::span("job.run");
         let metrics_base = cfg.telemetry.then(|| sts_obs::metrics::global().snapshot());
 
-        if tiling.tile_pairs == 0 {
-            return Err(JobError::InvalidTiling(
-                "tile_pairs must be ≥ 1 (a zero-pair tile would never progress)".into(),
-            ));
-        }
-        if cfg.checkpoint.is_some() {
-            return Err(JobError::InvalidTiling(
-                "JobConfig::checkpoint cannot be combined with tiling — completed tiles are \
-                 the checkpoint"
-                    .into(),
-            ));
+        match tiling {
+            Some(t) if t.tile_pairs == 0 => {
+                return Err(JobError::InvalidTiling(
+                    "tile_pairs must be ≥ 1 (a zero-pair tile would never progress)".into(),
+                ))
+            }
+            None if matches!(cfg.exec, ExecMode::Sharded(_)) => {
+                return Err(JobError::ShardRequiresTiling)
+            }
+            _ => {}
         }
 
         let space = PairSpace::new(queries.len(), candidates.len());
         let mut batch = BatchReport::default();
 
-        // A job with no budget returns before preparing anything, like
-        // the supervised engine: "0-pair budget" means *immediately*.
-        if let Some(reason) = check_start(cfg) {
+        // A job with no budget at all returns before preparing
+        // anything: "0-pair budget" must mean *immediately*, not
+        // "after an O(n) preparation pass".
+        if let Some(reason) = stop_check(cfg, 0) {
             let mut stats = zeroed_stats(JobState::from_run(Some(reason), false), space.len());
             stats.elapsed = started.elapsed();
             stats.pairs_skipped = space.len();
-            stats.tiles = Some(TileStats::default());
+            stats.tiles = tiling.map(|_| TileStats::default());
             return Ok(JobReport {
                 batch,
                 stats,
@@ -337,61 +382,79 @@ impl Sts {
             }
         };
 
-        let fingerprint = job_fingerprint(self.grid(), queries, candidates);
-        let (store, swept) = TileStore::open(tiling.storage.as_ref(), &tiling.dir, fingerprint)
-            .map_err(JobError::TileDir)?;
-
-        let tiles: Vec<PairChunk> = space.chunks(tiling.tile_pairs).collect();
-        let mut tstats = TileStats {
-            tiles_total: tiles.len(),
-            stale_tmp_swept: swept.stale_tmp,
-            corrupt_swept: swept.corrupt,
-            ..TileStats::default()
+        let mut tstats = TileStats::default();
+        let store = match tiling {
+            Some(t) => {
+                let fingerprint = job_fingerprint(self.grid(), queries, candidates);
+                let (store, swept) = TileStore::open(t.storage.as_ref(), &t.dir, fingerprint)
+                    .map_err(JobError::TileDir)?;
+                tstats.stale_tmp_swept = swept.stale_tmp;
+                tstats.corrupt_swept = swept.corrupt;
+                Some(store)
+            }
+            None => None,
+        };
+        let tiles: Vec<PairChunk> = space
+            .chunks(tiling.map_or(space.len(), |t| t.tile_pairs))
+            .collect();
+        tstats.tiles_total = tiles.len();
+        let ctx = JobCtx {
+            cfg,
+            space,
+            prepared_q,
+            prepared_c,
+            sub,
         };
 
-        // ---- Phase A: per tile, resume-or-compute, then spill. -----
-        let cell_retries = AtomicU64::new(0);
-        let mut sources: Vec<TileSource> = Vec::with_capacity(tiles.len());
+        // ---- Phase A: resume what is on disk, compute the rest. ----
+        let mut tally = Tally {
+            isolate: ctx.sub.as_ref().map(|_| IsolateStats::default()),
+            ..Tally::default()
+        };
+        let mut sources: Vec<TileSource> = tiles.iter().map(|_| TileSource::Skipped).collect();
         let mut stop_reason: Option<StopReason> = None;
         let mut new_pairs = 0usize; // computed this run (budget unit)
         let mut pairs_resumed = 0usize;
-        let mut pool_retries = 0u64;
-        let mut wait_total = Duration::ZERO;
-        let mut run_total = Duration::ZERO;
         let mut resident_fallback = 0usize; // cells pinned by Memory sources
-        let mut agg_iso: Option<IsolateStats> = None;
         let mut shard_stats = None;
         let mut fleet_telemetry = None;
 
-        if let ExecMode::Sharded(sopts) = &cfg.exec {
-            // ---- Phase A, sharded: resume what's on disk, deal the
-            // rest to the worker fleet under leases, spill each commit
-            // as it lands, and compute any leftovers locally. ----
-            sources = (0..tiles.len()).map(|_| TileSource::Skipped).collect();
-            let mut todo: Vec<usize> = Vec::new();
-            for (idx, tile) in tiles.iter().enumerate() {
-                match load_verified(&store, tile, &space, &prepared_q, &prepared_c) {
-                    Loaded::Verified => {
-                        tstats.max_resident_cells =
-                            tstats.max_resident_cells.max(resident_fallback + tile.len);
-                        tstats.tiles_resumed += 1;
-                        pairs_resumed += tile.len;
-                        sources[idx] = TileSource::Disk;
+        // Resume first, stopped or not: a verified tile on disk is
+        // free progress.
+        let mut todo: Vec<usize> = Vec::with_capacity(tiles.len());
+        match &store {
+            None => todo.extend(0..tiles.len()),
+            Some(store) => {
+                let _span = trace::span("job.resume");
+                for (idx, tile) in tiles.iter().enumerate() {
+                    match load_verified(store, tile, &ctx) {
+                        Loaded::Verified => {
+                            tstats.max_resident_cells = tstats.max_resident_cells.max(tile.len);
+                            tstats.tiles_resumed += 1;
+                            pairs_resumed += tile.len;
+                            sources[idx] = TileSource::Disk;
+                        }
+                        Loaded::Corrupt => {
+                            store.quarantine(tile.id);
+                            tstats.tiles_corrupt += 1;
+                            todo.push(idx);
+                        }
+                        Loaded::Absent => todo.push(idx),
                     }
-                    Loaded::Corrupt => {
-                        store.quarantine(tile.id);
-                        tstats.tiles_corrupt += 1;
-                        todo.push(idx);
-                    }
-                    Loaded::Absent => todo.push(idx),
                 }
+                sts_obs::static_counter!("core.job.pairs_resumed").add(pairs_resumed as u64);
             }
+        }
+
+        if let (ExecMode::Sharded(sopts), Some(store)) = (&cfg.exec, &store) {
+            // Deal the pending tiles to the worker fleet under leases
+            // and spill each commit as it lands.
             let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
             let preamble = worker::encode_preamble(
                 spec,
                 self.grid(),
                 cfg,
-                &space,
+                &ctx.space,
                 queries,
                 candidates,
                 sopts.hb_every,
@@ -410,195 +473,67 @@ impl Sts {
                     tstats.tiles_computed += 1;
                     new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
                     sources[idx] =
-                        spill_tile(&store, tile, outs, &mut tstats, &mut resident_fallback);
+                        spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback);
                 },
             );
-            let mut sstats = run.stats;
             stop_reason = run.stop;
             fleet_telemetry = Some(run.telemetry);
+            shard_stats = Some(run.stats);
             // Whatever the fleet could not finish — it was exhausted,
             // rejected the handshake, or the run stopped — degrades to
             // the in-process engine. A dead fleet never loses a job.
-            for idx in run.leftover {
-                let tile = &tiles[idx];
-                if stop_reason.is_none() {
-                    stop_reason = stop_check(cfg, new_pairs);
-                }
-                if stop_reason.is_some() {
-                    continue; // stays Skipped
-                }
-                tstats.max_resident_cells =
-                    tstats.max_resident_cells.max(resident_fallback + tile.len);
-                let remaining = Budget {
-                    deadline: cfg.budget.deadline,
-                    max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(new_pairs)),
-                };
-                let tr = self.compute_tile(
-                    tile,
-                    &space,
-                    &prepared_q,
-                    &prepared_c,
-                    cfg,
-                    None,
-                    remaining,
-                    &cell_retries,
-                    &mut agg_iso,
-                );
-                tstats.tiles_computed += 1;
+            todo = run.leftover;
+        }
+
+        for idx in todo {
+            let tile = &tiles[idx];
+            if stop_reason.is_none() {
+                stop_reason = stop_check(cfg, new_pairs);
+            }
+            if stop_reason.is_some() {
+                continue; // stays Skipped
+            }
+            let _span = trace::span("job.tile");
+            tstats.max_resident_cells = tstats.max_resident_cells.max(resident_fallback + tile.len);
+            let (outs, stop) = self.compute_tile(&ctx, tile, new_pairs, &mut tally);
+            tstats.tiles_computed += 1;
+            if let Some(sstats) = shard_stats.as_mut() {
                 sstats.tiles_local_fallback += 1;
                 sts_obs::static_counter!("shard.tiles.local_fallback").incr();
                 trace::event("shard.tile.fallback", tile.id as f64);
-                new_pairs += tr.outs.iter().filter(|o| is_terminal(o)).count();
-                pool_retries += tr.pool_retries;
-                wait_total += tr.wait;
-                run_total += tr.run;
-                if tr.stop.is_some() {
-                    stop_reason = tr.stop;
-                    resident_fallback += tile.len;
-                    sources[idx] = TileSource::Memory(tr.outs);
-                    continue;
-                }
-                sources[idx] =
-                    spill_tile(&store, tile, tr.outs, &mut tstats, &mut resident_fallback);
             }
-            shard_stats = Some(sstats);
-        } else {
-            for tile in &tiles {
-                let _span = trace::span("job.tiled.tile");
-                // Resume first, stopped or not: a verified tile on disk is
-                // free progress, exactly like checkpointed cells in the
-                // supervised engine.
-                match load_verified(&store, tile, &space, &prepared_q, &prepared_c) {
-                    Loaded::Verified => {
-                        tstats.max_resident_cells =
-                            tstats.max_resident_cells.max(resident_fallback + tile.len);
-                        tstats.tiles_resumed += 1;
-                        pairs_resumed += tile.len;
-                        sources.push(TileSource::Disk);
-                        continue;
-                    }
-                    Loaded::Corrupt => {
-                        store.quarantine(tile.id);
-                        tstats.tiles_corrupt += 1;
-                    }
-                    Loaded::Absent => {}
-                }
-
-                if stop_reason.is_none() {
-                    stop_reason = stop_check(cfg, new_pairs);
-                }
-                if stop_reason.is_some() {
-                    sources.push(TileSource::Skipped);
-                    continue;
-                }
-
-                // Compute the tile on the configured engine with whatever
-                // budget is left globally (the deadline is absolute, so it
-                // carries over unchanged).
-                tstats.max_resident_cells =
-                    tstats.max_resident_cells.max(resident_fallback + tile.len);
-                let remaining = Budget {
-                    deadline: cfg.budget.deadline,
-                    max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(new_pairs)),
-                };
-                let tr = self.compute_tile(
-                    tile,
-                    &space,
-                    &prepared_q,
-                    &prepared_c,
-                    cfg,
-                    sub.as_ref(),
-                    remaining,
-                    &cell_retries,
-                    &mut agg_iso,
-                );
-                tstats.tiles_computed += 1;
-                new_pairs += tr.outs.iter().filter(|o| is_terminal(o)).count();
-                pool_retries += tr.pool_retries;
-                wait_total += tr.wait;
-                run_total += tr.run;
-
-                if tr.stop.is_some() {
-                    // Partial tiles are never spilled: a tile file always
-                    // represents a *complete* slab.
-                    stop_reason = tr.stop;
-                    resident_fallback += tile.len;
-                    sources.push(TileSource::Memory(tr.outs));
-                    continue;
-                }
-
-                sources.push(spill_tile(
-                    &store,
-                    tile,
-                    tr.outs,
-                    &mut tstats,
-                    &mut resident_fallback,
-                ));
+            new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
+            if stop.is_some() {
+                stop_reason = stop;
             }
-        } // end in-process / subprocess phase A
+            sources[idx] = match &store {
+                // Partial tiles are never spilled: a tile file always
+                // represents a *complete* slab.
+                Some(store) if stop.is_none() => {
+                    spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback)
+                }
+                _ => {
+                    resident_fallback += tile.len;
+                    TileSource::Memory(outs)
+                }
+            };
+        }
 
         // ---- Phase B: stream-merge tiles into the sink. ------------
-        let merge_span = trace::span("job.tiled.merge");
+        let merge_span = trace::span("job.merge");
         let mut pairs_skipped = 0usize;
         let mut pairs_failed = 0usize;
-        let mut emit = |lin: usize, outcome: PairOutcome, batch: &mut BatchReport| {
-            match &outcome {
-                PairOutcome::Skipped => pairs_skipped += 1,
-                PairOutcome::Panicked => {
-                    pairs_failed += 1;
-                    batch.panicked_pairs.push(space.pair(lin));
-                }
-                PairOutcome::Failed { .. } => {
-                    pairs_failed += 1;
-                    batch.failed_pairs.push(space.pair(lin));
-                }
-                PairOutcome::Poisoned { exit } => {
-                    pairs_failed += 1;
-                    let (i, j) = space.pair(lin);
-                    batch.poisoned_pairs.push((i, j, *exit));
-                }
-                PairOutcome::Score(_) | PairOutcome::Quarantined => {}
-            }
-            if !matches!(outcome, PairOutcome::Skipped) {
-                sink(lin, outcome);
-            }
-        };
-
-        let mut chunks_completed = 0usize;
         for (tile, source) in tiles.iter().zip(sources) {
-            match source {
-                TileSource::Skipped => {
-                    for lin in tile.range() {
-                        emit(lin, PairOutcome::Skipped, &mut batch);
-                    }
-                }
-                TileSource::Memory(outs) => {
-                    if outs.iter().all(is_terminal) {
-                        chunks_completed += 1;
-                    }
-                    for (off, outcome) in outs.into_iter().enumerate() {
-                        emit(tile.start + off, outcome, &mut batch);
-                    }
+            let outs = match (source, &store) {
+                (TileSource::Memory(outs), _) => {
                     resident_fallback = resident_fallback.saturating_sub(tile.len);
+                    outs
                 }
-                TileSource::Disk => {
+                (TileSource::Disk, Some(store)) => {
                     tstats.max_resident_cells =
                         tstats.max_resident_cells.max(resident_fallback + tile.len);
                     match store.load(tile.id, tile.start, tile.len) {
-                        Ok(Some(mut data)) => {
-                            chunks_completed += 1;
-                            data.cells.sort_unstable_by_key(|(lin, _)| *lin);
-                            let mut recs = data.cells.into_iter().peekable();
-                            for lin in tile.range() {
-                                let outcome = match recs.peek() {
-                                    Some((l, _)) if *l == lin => {
-                                        from_record(recs.next().expect("peeked").1)
-                                    }
-                                    _ => PairOutcome::Quarantined,
-                                };
-                                emit(lin, outcome, &mut batch);
-                            }
-                        }
+                        Ok(Some(data)) => dense_outcomes(tile, data),
                         // Verified minutes ago and unreadable now —
                         // disk decay mid-job. Detect, quarantine,
                         // recompute inline: a corrupt tile is never
@@ -610,70 +545,77 @@ impl Sts {
                                 stop_reason = stop_check(cfg, new_pairs);
                             }
                             if stop_reason.is_some() {
-                                for lin in tile.range() {
-                                    emit(lin, PairOutcome::Skipped, &mut batch);
-                                }
-                                continue;
-                            }
-                            let remaining = Budget {
-                                deadline: cfg.budget.deadline,
-                                max_pairs: cfg
-                                    .budget
-                                    .max_pairs
-                                    .map(|m| m.saturating_sub(new_pairs)),
-                            };
-                            let tr = self.compute_tile(
-                                tile,
-                                &space,
-                                &prepared_q,
-                                &prepared_c,
-                                cfg,
-                                sub.as_ref(),
-                                remaining,
-                                &cell_retries,
-                                &mut agg_iso,
-                            );
-                            tstats.tiles_computed += 1;
-                            new_pairs += tr.outs.iter().filter(|o| is_terminal(o)).count();
-                            pool_retries += tr.pool_retries;
-                            stop_reason = tr.stop;
-                            if tr.outs.iter().all(is_terminal) {
-                                chunks_completed += 1;
-                            }
-                            for (off, outcome) in tr.outs.into_iter().enumerate() {
-                                emit(tile.start + off, outcome, &mut batch);
+                                vec![PairOutcome::Skipped; tile.len]
+                            } else {
+                                let (outs, stop) =
+                                    self.compute_tile(&ctx, tile, new_pairs, &mut tally);
+                                tstats.tiles_computed += 1;
+                                new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
+                                stop_reason = stop;
+                                outs
                             }
                         }
                     }
                 }
+                // Only a tiled job (one with a store) has Disk tiles.
+                (TileSource::Skipped, _) | (TileSource::Disk, None) => {
+                    vec![PairOutcome::Skipped; tile.len]
+                }
+            };
+            for (off, outcome) in outs.iter().enumerate() {
+                let lin = tile.start + off;
+                match outcome {
+                    PairOutcome::Skipped => pairs_skipped += 1,
+                    PairOutcome::Panicked => {
+                        pairs_failed += 1;
+                        batch.panicked_pairs.push(ctx.space.pair(lin));
+                    }
+                    PairOutcome::Failed { .. } => {
+                        pairs_failed += 1;
+                        batch.failed_pairs.push(ctx.space.pair(lin));
+                    }
+                    PairOutcome::Poisoned { exit } => {
+                        pairs_failed += 1;
+                        let (i, j) = ctx.space.pair(lin);
+                        batch.poisoned_pairs.push((i, j, *exit));
+                    }
+                    PairOutcome::Score(_) | PairOutcome::Quarantined => {}
+                }
             }
+            sink(tile.start, outs);
         }
         drop(merge_span);
 
-        // Tiles are resume state: only a run that resolved every pair
-        // may clean up (quarantined `.corrupt` files are kept either
-        // way — they are the post-mortem evidence).
-        if stop_reason.is_none() && !tiling.keep_tiles {
-            let _ = store.remove_all_tiles();
+        if let (Some(store), Some(t)) = (&store, tiling) {
+            // Tiles are resume state: only a run that resolved every
+            // pair may clean up (quarantined `.corrupt` files are kept
+            // either way — they are the post-mortem evidence).
+            if stop_reason.is_none() && !t.keep_tiles {
+                let _ = store.remove_all_tiles();
+            }
+            tstats.peak_rss_bytes = sts_obs::record_peak_rss();
         }
 
-        tstats.peak_rss_bytes = sts_obs::record_peak_rss();
-
-        let any_failed = pairs_failed > 0;
-        let mut stats = zeroed_stats(JobState::from_run(stop_reason, any_failed), space.len());
+        let mut stats = zeroed_stats(
+            JobState::from_run(stop_reason, pairs_failed > 0),
+            space.len(),
+        );
         stats.elapsed = started.elapsed();
         stats.pairs_completed = space.len() - pairs_skipped;
         stats.pairs_failed = pairs_failed;
         stats.pairs_skipped = pairs_skipped;
         stats.pairs_resumed = pairs_resumed;
-        stats.chunks_total = tiles.len();
-        stats.chunks_completed = chunks_completed;
-        stats.chunks_skipped = tiles.len() - chunks_completed;
-        stats.chunk_wait_total = wait_total;
-        stats.chunk_run_total = run_total;
-        stats.retries = pool_retries + cell_retries.into_inner();
-        stats.isolate = agg_iso;
-        stats.tiles = Some(tstats);
+        stats.chunks_total = tally.chunks_total;
+        stats.chunks_completed = tally.chunks_completed;
+        stats.chunks_failed = tally.chunks_failed;
+        stats.chunks_skipped = tally.chunks_total - tally.chunks_completed - tally.chunks_failed;
+        stats.retries = tally.pool_retries + tally.cell_retries.into_inner();
+        tally.slow_chunks.sort_unstable();
+        stats.slow_chunks = tally.slow_chunks;
+        stats.chunk_wait_total = tally.wait;
+        stats.chunk_run_total = tally.run;
+        stats.isolate = tally.isolate;
+        stats.tiles = tiling.map(|_| tstats);
         stats.shard = shard_stats;
 
         let mut telemetry = job_telemetry(metrics_base.as_ref());
@@ -700,25 +642,28 @@ impl Sts {
         })
     }
 
-    /// Computes one tile's slab on the configured engine. Returns
-    /// dense outcomes (`Skipped` where the engine stopped first).
-    #[allow(clippy::too_many_arguments)]
+    /// Computes one tile's slab on the configured engine, with whatever
+    /// budget is left after the `done_pairs` this run already computed
+    /// (the deadline is absolute, so it carries over unchanged).
+    /// Returns dense outcomes (`Skipped` where the engine stopped
+    /// first) and why it stopped, if it did.
     fn compute_tile(
         &self,
+        ctx: &JobCtx<'_>,
         tile: &PairChunk,
-        space: &PairSpace,
-        prepared_q: &[Option<PreparedTrajectory>],
-        prepared_c: &[Option<PreparedTrajectory>],
-        cfg: &JobConfig,
-        sub: Option<&SubExec<'_>>,
-        remaining: Budget,
-        cell_retries: &AtomicU64,
-        agg_iso: &mut Option<IsolateStats>,
-    ) -> TileRun {
-        let sub_chunks = chunk_tile(tile, cfg.chunk_pairs);
+        done_pairs: usize,
+        tally: &mut Tally,
+    ) -> (Vec<PairOutcome>, Option<StopReason>) {
+        let cfg = ctx.cfg;
+        let remaining = Budget {
+            deadline: cfg.budget.deadline,
+            max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(done_pairs)),
+        };
+        let chunks = chunk_tile(tile, cfg.chunk_pairs, tally.chunks_total);
+        tally.chunks_total += chunks.len();
         let mut outs = vec![PairOutcome::Skipped; tile.len];
 
-        if let Some(sub) = sub {
+        if let Some(sub) = &ctx.sub {
             let iso = IsolateConfig {
                 worker: WorkerSpec {
                     program: sub.program.clone(),
@@ -734,48 +679,51 @@ impl Sts {
                 cancel: cfg.cancel.clone(),
                 ..IsolateConfig::default()
             };
-            let run =
-                sts_isolate::supervise(&sub_chunks, &iso, &sub.preamble, |_chunk, payload| {
-                    let Some(parsed) = worker::decode_result_payload(payload) else {
-                        return;
-                    };
-                    for (lin, outcome) in parsed {
-                        if lin >= tile.start && lin < tile.start + tile.len {
-                            outs[lin - tile.start] = outcome;
-                        }
+            let run = sts_isolate::supervise(&chunks, &iso, &sub.preamble, |_chunk, payload| {
+                // The supervisor validated the framing; a payload that
+                // is not a record set would be a worker bug — leave
+                // those cells skipped rather than guessing.
+                let Some(parsed) = worker::decode_result_payload(payload) else {
+                    return;
+                };
+                for (lin, outcome) in parsed {
+                    if tile.range().contains(&lin) {
+                        outs[lin - tile.start] = outcome;
                     }
-                });
+                }
+            });
+            // Crash-attribution verdicts: quarantine each poison pair
+            // with its worker's exit.
             for p in &run.poisoned {
-                if p.lin >= tile.start && p.lin < tile.start + tile.len {
+                if tile.range().contains(&p.lin) {
                     outs[p.lin - tile.start] = PairOutcome::Poisoned { exit: p.exit };
                 }
             }
-            let iso_stats = agg_iso.get_or_insert_with(IsolateStats::default);
+            tally.chunks_completed += chunks
+                .iter()
+                .filter(|c| c.range().all(|lin| is_terminal(&outs[lin - tile.start])))
+                .count();
+            let iso_stats = tally.isolate.get_or_insert_with(IsolateStats::default);
             iso_stats.workers_spawned += run.workers_spawned;
             iso_stats.worker_restarts += run.worker_restarts;
             iso_stats.worker_kills += run.worker_kills;
             iso_stats.protocol_errors += run.protocol_errors;
             iso_stats.pairs_poisoned += run.poisoned.len();
             iso_stats.max_bisect_depth = iso_stats.max_bisect_depth.max(run.max_bisect_depth);
-            return TileRun {
-                outs,
-                stop: run.stop,
-                pool_retries: 0,
-                wait: Duration::ZERO,
-                run: run.elapsed,
-            };
+            return (outs, run.stop);
         }
 
+        let cell_retries = &tally.cell_retries;
         let work =
             |scratch: &mut crate::StpScratch, chunk: &PairChunk| -> Vec<(usize, PairOutcome)> {
                 let mut v = Vec::with_capacity(chunk.len);
                 for lin in chunk.range() {
-                    let (i, j) = space.pair(lin);
+                    let (i, j) = ctx.space.pair(lin);
                     v.push((
                         lin,
                         self.score_cell_retrying(
-                            prepared_q[i].as_ref(),
-                            prepared_c[j].as_ref(),
+                            ctx.prepared_q[i].as_ref(),
+                            ctx.prepared_c[j].as_ref(),
                             cfg,
                             lin,
                             cell_retries,
@@ -793,7 +741,7 @@ impl Sts {
             cancel: cfg.cancel.clone(),
         };
         let run = run_supervised_with(
-            &sub_chunks,
+            &chunks,
             &pool_cfg,
             |_slot| crate::StpScratch::new(),
             work,
@@ -803,31 +751,36 @@ impl Sts {
                 }
             },
         );
-        // Pool-level backstop, identical to the supervised engine:
-        // cells of a terminally failed chunk become Failed (or
-        // Panicked under the legacy no-retry contract).
-        for (idx, status) in run.statuses.iter().enumerate() {
-            if let ChunkStatus::Failed { attempts } = status {
-                for lin in sub_chunks[idx].range() {
-                    if !is_terminal(&outs[lin - tile.start]) {
-                        outs[lin - tile.start] = if cfg.retry.max_retries == 0 {
-                            PairOutcome::Panicked
-                        } else {
-                            PairOutcome::Failed {
-                                attempts: *attempts,
-                            }
-                        };
+        // Pool-level backstop: cells of a terminally failed chunk that
+        // never produced outcomes become Failed (or Panicked under the
+        // legacy no-retry contract).
+        for (chunk, status) in chunks.iter().zip(&run.statuses) {
+            match status {
+                ChunkStatus::Completed => tally.chunks_completed += 1,
+                ChunkStatus::Failed { attempts } => {
+                    tally.chunks_failed += 1;
+                    for lin in chunk.range() {
+                        if !is_terminal(&outs[lin - tile.start]) {
+                            outs[lin - tile.start] = if cfg.retry.max_retries == 0 {
+                                PairOutcome::Panicked
+                            } else {
+                                PairOutcome::Failed {
+                                    attempts: *attempts,
+                                }
+                            };
+                        }
                     }
                 }
+                ChunkStatus::Skipped(_) => {}
             }
         }
-        TileRun {
-            outs,
-            stop: run.stop,
-            pool_retries: run.retries,
-            wait: run.chunk_wait,
-            run: run.chunk_run,
-        }
+        tally.pool_retries += run.retries;
+        tally.wait += run.chunk_wait;
+        tally.run += run.chunk_run;
+        tally
+            .slow_chunks
+            .extend(run.slow_chunks.iter().map(|&idx| chunks[idx].id));
+        (outs, run.stop)
     }
 }
 
@@ -848,13 +801,7 @@ enum Loaded {
 /// record XOR be quarantined (fingerprint-matched inputs prepare
 /// deterministically, so any disagreement means the file does not
 /// describe this job and is treated as corrupt).
-fn load_verified(
-    store: &TileStore<'_>,
-    tile: &PairChunk,
-    space: &PairSpace,
-    prepared_q: &[Option<PreparedTrajectory>],
-    prepared_c: &[Option<PreparedTrajectory>],
-) -> Loaded {
+fn load_verified(store: &TileStore<'_>, tile: &PairChunk, ctx: &JobCtx<'_>) -> Loaded {
     let mut data = match store.load(tile.id, tile.start, tile.len) {
         Ok(Some(data)) => data,
         Ok(None) | Err(TileError::Io(_)) => return Loaded::Absent,
@@ -867,8 +814,8 @@ fn load_verified(
         if has_record {
             recs.next();
         }
-        let (i, j) = space.pair(lin);
-        let quarantined = prepared_q[i].is_none() || prepared_c[j].is_none();
+        let (i, j) = ctx.space.pair(lin);
+        let quarantined = ctx.prepared_q[i].is_none() || ctx.prepared_c[j].is_none();
         if has_record == quarantined {
             return Loaded::Corrupt;
         }
@@ -919,55 +866,64 @@ fn spill_tile(
     }
 }
 
+/// A verified tile's records as dense outcomes. Pairs without a
+/// record are the quarantined ones: quarantine is re-derived from
+/// preparation, never stored.
+fn dense_outcomes(tile: &PairChunk, data: TileData) -> Vec<PairOutcome> {
+    let mut outs = vec![PairOutcome::Quarantined; tile.len];
+    for (lin, rec) in data.cells {
+        outs[lin - tile.start] = from_record(rec);
+    }
+    outs
+}
+
+fn to_record(cell: &PairOutcome) -> Option<CellRecord> {
+    match cell {
+        PairOutcome::Score(s) => Some(CellRecord::Score(*s)),
+        PairOutcome::Failed { attempts } => Some(CellRecord::Failed {
+            attempts: *attempts,
+        }),
+        PairOutcome::Panicked => Some(CellRecord::Panicked),
+        // Poison is stored: a resumed job must NOT rediscover a poison
+        // pair by feeding it to (and losing) another worker.
+        PairOutcome::Poisoned { exit } => Some(CellRecord::Poisoned { exit: *exit }),
+        // Quarantine is re-derived from preparation on resume; Skipped
+        // is by definition not terminal.
+        PairOutcome::Quarantined | PairOutcome::Skipped => None,
+    }
+}
+
+fn from_record(rec: CellRecord) -> PairOutcome {
+    match rec {
+        CellRecord::Score(s) => PairOutcome::Score(s),
+        CellRecord::Failed { attempts } => PairOutcome::Failed { attempts },
+        CellRecord::Panicked => PairOutcome::Panicked,
+        CellRecord::Poisoned { exit } => PairOutcome::Poisoned { exit },
+    }
+}
+
 /// Deals one tile's slab into scheduling chunks of `chunk_pairs`
-/// (clamped to ≥ 1), with linear indices absolute in the full pair
-/// space — a subprocess worker scores whatever slab it is sent, so
-/// the chunks must speak the global coordinate system.
-fn chunk_tile(tile: &PairChunk, chunk_pairs: usize) -> Vec<PairChunk> {
+/// (clamped to ≥ 1), numbered on from `first_id`, with linear indices
+/// absolute in the full pair space — a subprocess worker scores
+/// whatever slab it is sent, so the chunks must speak the global
+/// coordinate system.
+fn chunk_tile(tile: &PairChunk, chunk_pairs: usize, first_id: usize) -> Vec<PairChunk> {
     let size = chunk_pairs.max(1);
     let n = tile.len.div_ceil(size);
     (0..n)
         .map(|k| PairChunk {
-            id: k,
+            id: first_id + k,
             start: tile.start + k * size,
             len: size.min(tile.len - k * size),
         })
         .collect()
 }
 
-/// Cancellation and global-budget check between tiles, mirroring the
-/// supervised engine's per-chunk stop checks.
+/// Cancellation and global-budget check before the job and between
+/// tiles, mirroring the pool's per-chunk stop checks.
 fn stop_check(cfg: &JobConfig, new_pairs: usize) -> Option<StopReason> {
     if cfg.cancel.is_cancelled() {
         return Some(StopReason::Cancelled);
     }
     cfg.budget.check(new_pairs)
-}
-
-/// A [`JobStats`] with every counter at zero — the tiled engine fills
-/// in what it tracked (`JobStats` carries no `Default`: a job state
-/// has no meaningful default).
-fn zeroed_stats(state: JobState, pairs_total: usize) -> JobStats {
-    JobStats {
-        state,
-        elapsed: Duration::ZERO,
-        pairs_total,
-        pairs_completed: 0,
-        pairs_failed: 0,
-        pairs_skipped: 0,
-        pairs_resumed: 0,
-        chunks_total: 0,
-        chunks_completed: 0,
-        chunks_failed: 0,
-        chunks_skipped: 0,
-        retries: 0,
-        slow_chunks: Vec::new(),
-        checkpoint_flushes: 0,
-        checkpoint_write_errors: 0,
-        chunk_wait_total: Duration::ZERO,
-        chunk_run_total: Duration::ZERO,
-        isolate: None,
-        tiles: None,
-        shard: None,
-    }
 }

@@ -1,12 +1,12 @@
 //! Lifecycle tests for supervised similarity jobs: budget/deadline
-//! semantics and checkpoint → crash → resume round-trips.
+//! semantics and tile spill → crash → resume round-trips.
 //!
 //! Seeded tests embed the seed in every assertion message so a CI
 //! failure is replayable (`scripts/ci.sh` runtime step).
 
 use std::path::PathBuf;
 use std::time::Duration;
-use sts_core::{CheckpointConfig, JobConfig, JobError, PairOutcome, Sts, StsConfig};
+use sts_core::{JobConfig, PairOutcome, Sts, StsConfig, TileConfig};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_runtime::{Budget, CancelToken, JobState};
@@ -41,21 +41,25 @@ fn corpus(seed: u64, n: usize) -> Vec<Trajectory> {
         .collect()
 }
 
-/// A unique temp path that is cleaned up on drop.
-struct TempCkpt(PathBuf);
+/// A unique tile directory that is removed on drop.
+struct TempTiles(PathBuf);
 
-impl TempCkpt {
+impl TempTiles {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("sts-job-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempCkpt(dir.join(format!("{tag}.ckpt")))
+        TempTiles(std::env::temp_dir().join(format!("sts-job-tests-{}-{tag}", std::process::id())))
+    }
+
+    fn tiling(&self, tile_pairs: usize) -> TileConfig {
+        TileConfig {
+            tile_pairs,
+            ..TileConfig::new(&self.0)
+        }
     }
 }
 
-impl Drop for TempCkpt {
+impl Drop for TempTiles {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -181,58 +185,52 @@ fn mid_job_deadline_yields_completed_cells_and_no_panics() {
     }
 }
 
-/// Checkpoint round-trip across 8 seeds: write → "crash" mid-job
-/// (CancelToken mid-run) → resume → the final matrix is byte-identical
-/// to an uninterrupted run's.
+/// Tile round-trip across 8 seeds: spill → "crash" mid-job (a pair
+/// budget stops it) → resume → the final matrix is byte-identical to
+/// an uninterrupted run's.
 #[test]
-fn checkpoint_crash_resume_is_byte_identical_across_seeds() {
+fn tile_crash_resume_is_byte_identical_across_seeds() {
     for seed in 0..8u64 {
         let sts = Sts::new(StsConfig::default(), grid());
         let qs = corpus(0xC0DE + seed, 12); // 144 pairs
-        let ckpt = TempCkpt::new(&format!("resume-{seed}"));
+        let tiles = TempTiles::new(&format!("resume-{seed}"));
 
         let uninterrupted = sts
             .similarity_matrix_supervised(&qs, &qs, &JobConfig::default())
             .unwrap()
             .0;
 
-        // "Crash": cancel from a chunk boundary onwards. The token
-        // trips after ~half the pairs have been dealt; a flush every
-        // chunk makes the checkpoint as fresh as possible (the
-        // contract is "lose at most one flush interval").
+        // "Crash": the budget stops the job after ~half the pairs; the
+        // small tiles make the spilled state as fresh as possible (the
+        // contract is "lose at most the tile in flight").
         let cancel = CancelToken::new();
         let crash_cfg = JobConfig {
             cancel: cancel.clone(),
             budget: Budget::with_max_pairs(70),
             chunk_pairs: 8,
-            checkpoint: Some(CheckpointConfig {
-                path: ckpt.0.clone(),
-                flush_every_chunks: 1,
-            }),
             ..JobConfig::default()
         };
         let (_partial, crash_report) = sts
-            .similarity_matrix_supervised(&qs, &qs, &crash_cfg)
+            .similarity_matrix_tiled(&qs, &qs, &crash_cfg, &tiles.tiling(16))
             .unwrap();
         assert!(
             !crash_report.is_complete(),
             "seed={seed}: the crashed run must not finish ({crash_report})"
         );
         assert!(
-            crash_report.stats.checkpoint_flushes > 0,
-            "seed={seed}: no checkpoint was written"
+            crash_report.stats.tiles.unwrap().tiles_spilled > 0,
+            "seed={seed}: no tile was spilled"
         );
-        assert!(ckpt.0.exists(), "seed={seed}");
+        assert!(tiles.0.exists(), "seed={seed}");
 
-        // Resume from the checkpoint with no budget: must complete and
-        // match the uninterrupted run bit for bit.
+        // Resume from the tiles with no budget: must complete and match
+        // the uninterrupted run bit for bit.
         let resume_cfg = JobConfig {
-            checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
             chunk_pairs: 8,
             ..JobConfig::default()
         };
         let (resumed, resume_report) = sts
-            .similarity_matrix_supervised(&qs, &qs, &resume_cfg)
+            .similarity_matrix_tiled(&qs, &qs, &resume_cfg, &tiles.tiling(16))
             .unwrap();
         assert_eq!(
             resume_report.state(),
@@ -241,7 +239,7 @@ fn checkpoint_crash_resume_is_byte_identical_across_seeds() {
         );
         assert!(
             resume_report.stats.pairs_resumed > 0,
-            "seed={seed}: nothing was restored from the checkpoint"
+            "seed={seed}: nothing was restored from the tiles"
         );
         assert!(
             resume_report.stats.pairs_resumed < 144,
@@ -255,45 +253,57 @@ fn checkpoint_crash_resume_is_byte_identical_across_seeds() {
     }
 }
 
-/// Resuming a checkpoint against different inputs is refused, not
-/// silently blended.
+/// Tiles left by a job over different inputs are never blended in:
+/// the fingerprint check rejects every one, and the job recomputes
+/// them all.
 #[test]
-fn resume_with_changed_inputs_is_a_fingerprint_error() {
+fn resume_with_changed_inputs_recomputes_foreign_tiles() {
     let sts = Sts::new(StsConfig::default(), grid());
     let qs = corpus(50, 6);
-    let ckpt = TempCkpt::new("fingerprint");
-    let cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
-        ..JobConfig::default()
+    let tiles = TempTiles::new("fingerprint");
+    let tiling = TileConfig {
+        keep_tiles: true,
+        ..tiles.tiling(8)
     };
-    sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    sts.similarity_matrix_tiled(&qs, &qs, &JobConfig::default(), &tiling)
+        .unwrap();
 
     let other = corpus(51, 6);
-    let err = sts
-        .similarity_matrix_supervised(&other, &other, &cfg)
-        .unwrap_err();
-    assert!(
-        matches!(err, JobError::FingerprintMismatch { .. }),
-        "{err:?}"
-    );
-    assert!(err.to_string().contains("fingerprint"), "{err}");
+    let (matrix, report) = sts
+        .similarity_matrix_tiled(&other, &other, &JobConfig::default(), &tiling)
+        .unwrap();
+    let t = report.stats.tiles.unwrap();
+    assert_eq!(report.stats.pairs_resumed, 0, "{report}");
+    assert_eq!(t.tiles_corrupt, t.tiles_total, "{report}");
+    assert_eq!(t.tiles_computed, t.tiles_total, "{report}");
+    let fresh = sts
+        .similarity_matrix_supervised(&other, &other, &JobConfig::default())
+        .unwrap()
+        .0;
+    assert_eq!(score_bits(&matrix), score_bits(&fresh));
 }
 
-/// A completed job's checkpoint makes a re-run a pure restore: zero
+/// A completed job's kept tiles make a re-run a pure restore: zero
 /// recomputation, same matrix.
 #[test]
-fn rerun_after_complete_checkpoint_restores_everything() {
+fn rerun_after_complete_run_with_kept_tiles_restores_everything() {
     let sts = Sts::new(StsConfig::default(), grid());
     let qs = corpus(60, 6);
-    let ckpt = TempCkpt::new("rerun");
-    let cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
-        ..JobConfig::default()
+    let tiles = TempTiles::new("rerun");
+    let tiling = TileConfig {
+        keep_tiles: true,
+        ..tiles.tiling(8)
     };
-    let (first, _) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
-    let (second, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    let cfg = JobConfig::default();
+    let (first, _) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
+    let (second, report) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
     assert_eq!(report.stats.pairs_resumed, 36, "{report}");
     assert_eq!(report.stats.chunks_total, 0, "no chunk was queued");
+    assert_eq!(report.stats.tiles.unwrap().tiles_computed, 0, "{report}");
     assert_eq!(score_bits(&first), score_bits(&second));
 }
 

@@ -9,18 +9,18 @@
 //! * a job under injection still terminates under its deadline, with
 //!   every healthy cell scored and every poisoned cell named in the
 //!   [`JobReport`] — partial-but-consistent, never hung, never dead;
-//! * crash (cancel mid-job) → resume from checkpoint reproduces an
-//!   uninterrupted run's matrix byte for byte, *including* the failed
-//!   cells, across 8 seeds;
+//! * crash (a budget stop mid-job) → resume from spilled tiles
+//!   reproduces an uninterrupted run's matrix byte for byte,
+//!   *including* the failed cells, across 8 seeds;
 //! * a corpus of wedged-slow pairs cannot outlive the wall-clock
-//!   deadline by more than one chunk's worth of work.
+//!   deadline by more than one chunk's worth of work, tiled or not.
 //!
 //! Every seeded assertion embeds its seed, so a CI failure (the
 //! `runtime` step of `scripts/ci.sh`) is replayable.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use sts_core::{CheckpointConfig, JobConfig, PairOutcome, Sts, StsConfig};
+use sts_core::{JobConfig, JobReport, PairOutcome, Sts, StsConfig, TileConfig};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_runtime::{Budget, FaultPlan, JobState, RetryPolicy};
@@ -84,20 +84,27 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-struct TempCkpt(PathBuf);
+/// A unique tile directory that is removed on drop.
+struct TempTiles(PathBuf);
 
-impl TempCkpt {
+impl TempTiles {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("sts-supervised-chaos-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempCkpt(dir.join(format!("{tag}.ckpt")))
+        TempTiles(
+            std::env::temp_dir().join(format!("sts-supervised-chaos-{}-{tag}", std::process::id())),
+        )
+    }
+
+    fn tiling(&self) -> TileConfig {
+        TileConfig {
+            tile_pairs: 256,
+            ..TileConfig::new(&self.0)
+        }
     }
 }
 
-impl Drop for TempCkpt {
+impl Drop for TempTiles {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -136,8 +143,8 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
 /// The acceptance criterion: for 8 seeds, a 64-trajectory matrix job
 /// under injected panics and slow pairs (1) completes under its
 /// deadline with the failed cells named in the report, and (2) a crash
-/// (cancel mid-job) followed by a resume from checkpoint reproduces
-/// the uninterrupted run's matrix byte for byte.
+/// (a budget stop mid-job) followed by a resume from the spilled tiles
+/// reproduces the uninterrupted run's matrix byte for byte.
 #[test]
 fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
     quietly(|| {
@@ -197,34 +204,28 @@ fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
                 "seed={seed}: no slow chunk marked ({report})"
             );
 
-            // Crash: checkpoint every chunk, cancel via a mid-job pair
+            // Crash: spill every completed tile, stop via a mid-job pair
             // budget, then resume under the same fault plan.
-            let ckpt = TempCkpt::new(&format!("chaos-{seed}"));
+            let tiles = TempTiles::new(&format!("chaos-{seed}"));
             let crash = JobConfig {
                 budget: Budget::with_max_pairs(N_PAIRS / 2).deadline(deadline),
-                checkpoint: Some(CheckpointConfig {
-                    path: ckpt.0.clone(),
-                    flush_every_chunks: 1,
-                }),
                 ..base.clone()
             };
-            let (_partial, crash_report) =
-                sts.similarity_matrix_supervised(&qs, &qs, &crash).unwrap();
+            let (_partial, crash_report) = sts
+                .similarity_matrix_tiled(&qs, &qs, &crash, &tiles.tiling())
+                .unwrap();
             assert!(
                 !crash_report.is_complete(),
                 "seed={seed}: crash run finished ({crash_report})"
             );
             assert!(
-                crash_report.stats.checkpoint_flushes > 0,
-                "seed={seed}: nothing checkpointed"
+                crash_report.stats.tiles.unwrap().tiles_spilled > 0,
+                "seed={seed}: nothing spilled"
             );
 
-            let resume = JobConfig {
-                checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
-                ..base.clone()
-            };
-            let (resumed, resume_report) =
-                sts.similarity_matrix_supervised(&qs, &qs, &resume).unwrap();
+            let (resumed, resume_report) = sts
+                .similarity_matrix_tiled(&qs, &qs, &base, &tiles.tiling())
+                .unwrap();
             assert_eq!(
                 resume_report.state(),
                 JobState::Degraded,
@@ -232,7 +233,7 @@ fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
             );
             assert!(
                 resume_report.stats.pairs_resumed > 0,
-                "seed={seed}: checkpoint restored nothing"
+                "seed={seed}: tiles restored nothing"
             );
             assert_eq!(
                 matrix_bits(&resumed),
@@ -246,51 +247,73 @@ fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
 /// Liveness under wedging: a corpus where *every* pair sleeps longer
 /// than the deadline's headroom must still return promptly — the
 /// boundary checks stop dealing work, completed chunks survive, and
-/// nothing is mislabelled as failed.
+/// nothing is mislabelled as failed. Holds for the in-memory and the
+/// tiled engine alike, watchdog report included.
 #[test]
 fn wedged_slow_pairs_cannot_outlive_the_deadline() {
-    let sts = Sts::new(StsConfig::default(), grid());
-    let qs = corpus(0x51_0e, 16); // 256 pairs, every one wedged
-    let plan = FaultPlan {
-        seed: 1,
-        slow_per_mille: 1000,
-        slow_for: Duration::from_millis(20),
-        ..FaultPlan::default()
-    };
-    // Sequentially the job would sleep ≥ 256 × 20 ms ≈ 5 s; the
-    // deadline allows ~100 ms plus at most one in-flight chunk per
-    // worker (4 pairs × 20 ms).
-    let deadline = Duration::from_millis(100);
-    let cfg = JobConfig {
-        budget: Budget::with_deadline(deadline),
-        chunk_pairs: 4,
-        soft_timeout: Some(Duration::from_millis(5)),
-        fault: Some(plan),
-        ..JobConfig::default()
-    };
-    let started = Instant::now();
-    let (matrix, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
-    let elapsed = started.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "deadline did not bound the wedged job ({elapsed:?})"
-    );
-    assert_eq!(report.state(), JobState::DeadlineExceeded, "{report}");
-    assert_eq!(report.batch.failed_count(), 0, "{report}");
-    assert_eq!(report.batch.panic_count(), 0, "{report}");
-    assert!(report.stats.pairs_skipped > 0, "{report}");
-    assert!(
-        !report.stats.slow_chunks.is_empty(),
-        "watchdog missed the wedge ({report})"
-    );
-    // Partial but consistent: every cell is either a real score or an
-    // honestly reported skip.
-    for row in &matrix {
-        for cell in row {
-            match cell {
-                PairOutcome::Score(s) => assert!(s.is_finite(), "{s}"),
-                PairOutcome::Skipped => {}
-                other => panic!("unexpected outcome {other:?}"),
+    let tiles = TempTiles::new("wedged");
+    type Run =
+        fn(&Sts, &[Trajectory], &JobConfig, &TempTiles) -> (Vec<Vec<PairOutcome>>, JobReport);
+    let inputs: [(&str, Run); 2] = [
+        ("supervised", |sts, qs, cfg, _| {
+            sts.similarity_matrix_supervised(qs, qs, cfg).unwrap()
+        }),
+        ("tiled", |sts, qs, cfg, tiles| {
+            let tiling = TileConfig {
+                tile_pairs: 64,
+                ..TileConfig::new(&tiles.0)
+            };
+            sts.similarity_matrix_tiled(qs, qs, cfg, &tiling).unwrap()
+        }),
+    ];
+    for (engine, run) in inputs {
+        let sts = Sts::new(StsConfig::default(), grid());
+        let qs = corpus(0x51_0e, 16); // 256 pairs, every one wedged
+        let plan = FaultPlan {
+            seed: 1,
+            slow_per_mille: 1000,
+            slow_for: Duration::from_millis(20),
+            ..FaultPlan::default()
+        };
+        // Sequentially the job would sleep ≥ 256 × 20 ms ≈ 5 s; the
+        // deadline allows ~100 ms plus at most one in-flight chunk per
+        // worker (4 pairs × 20 ms).
+        let deadline = Duration::from_millis(100);
+        let cfg = JobConfig {
+            budget: Budget::with_deadline(deadline),
+            chunk_pairs: 4,
+            soft_timeout: Some(Duration::from_millis(5)),
+            fault: Some(plan),
+            ..JobConfig::default()
+        };
+        let started = Instant::now();
+        let (matrix, report) = run(&sts, &qs, &cfg, &tiles);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "{engine}: deadline did not bound the wedged job ({elapsed:?})"
+        );
+        assert_eq!(
+            report.state(),
+            JobState::DeadlineExceeded,
+            "{engine}: {report}"
+        );
+        assert_eq!(report.batch.failed_count(), 0, "{engine}: {report}");
+        assert_eq!(report.batch.panic_count(), 0, "{engine}: {report}");
+        assert!(report.stats.pairs_skipped > 0, "{engine}: {report}");
+        assert!(
+            !report.stats.slow_chunks.is_empty(),
+            "{engine}: watchdog missed the wedge ({report})"
+        );
+        // Partial but consistent: every cell is either a real score or
+        // an honestly reported skip.
+        for row in &matrix {
+            for cell in row {
+                match cell {
+                    PairOutcome::Score(s) => assert!(s.is_finite(), "{engine}: {s}"),
+                    PairOutcome::Skipped => {}
+                    other => panic!("{engine}: unexpected outcome {other:?}"),
+                }
             }
         }
     }

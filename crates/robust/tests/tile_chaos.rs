@@ -438,9 +438,8 @@ fn stale_tmp_debris_is_swept_and_counted_on_the_next_open() {
     );
 }
 
-/// Config validation: a zero tile size and a checkpoint+tiling combo
-/// are rejected up front with a typed error — not accepted, not spun
-/// on forever.
+/// Config validation: a zero tile size is rejected up front with a
+/// typed error — not accepted, not spun on forever.
 #[test]
 fn unusable_tile_configs_are_rejected_up_front() {
     let sts = Sts::new(StsConfig::default(), grid());
@@ -455,18 +454,6 @@ fn unusable_tile_configs_are_rejected_up_front() {
     assert!(
         matches!(err, sts_core::JobError::InvalidTiling(_)),
         "zero tile_pairs: {err}"
-    );
-
-    let with_ckpt = JobConfig {
-        checkpoint: Some(sts_core::CheckpointConfig::new(tiles.0.join("x.ckpt"))),
-        ..JobConfig::default()
-    };
-    let err = sts
-        .similarity_matrix_tiled(&qs, &qs, &with_ckpt, &TileConfig::new(&tiles.0))
-        .unwrap_err();
-    assert!(
-        matches!(err, sts_core::JobError::InvalidTiling(_)),
-        "checkpoint+tiles: {err}"
     );
 }
 

@@ -6,7 +6,7 @@
 //! started to drift. [`PairSpace`] linearizes the space row-major and
 //! [`PairSpace::chunks`] deals it out in fixed-size [`PairChunk`]s,
 //! the unit of scheduling, cancellation checks, retry and
-//! checkpointing throughout the runtime.
+//! tiling throughout the runtime.
 
 /// A `rows × cols` pair space, linearized row-major: linear index
 /// `lin` names the cell `(lin / cols, lin % cols)`.
@@ -85,8 +85,9 @@ impl PairSpace {
 /// the supervised pool's shared queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairChunk {
-    /// Sequential chunk id (`0..n_chunks`), also the chunk's index in
-    /// the pool's status vector.
+    /// Sequential chunk id: `0..n_chunks` for one
+    /// [`PairSpace::chunks`] dealing; a tiled job numbers the chunks of
+    /// successive tiles on, so ids stay unique across the job.
     pub id: usize,
     /// First linear pair index covered.
     pub start: usize,

@@ -23,18 +23,15 @@
 //!   chunks from a shared queue, retries panicked chunks with
 //!   decorrelated-jitter backoff ([`DecorrelatedJitter`]), and runs a
 //!   watchdog that marks chunks exceeding a per-chunk soft timeout;
-//! * [`checkpoint`] — a zero-dependency line-based checkpoint format
-//!   (same style as the `sts-traj` `io` module) with a header
-//!   fingerprint, so a crashed or cancelled job resumes losing at most
-//!   one flush interval;
 //! * [`store`] — the injectable [`Storage`] trait behind every durable
-//!   artifact (checkpoints, tiles), with [`FsStorage`] owning the
+//!   artifact (tiles, the serving WAL), with [`FsStorage`] owning the
 //!   tmp-write → fsync → rename discipline; the disk-chaos suite in
 //!   `sts-robust` swaps in a fault-injecting implementation;
-//! * [`tile`] — per-tile spill files for the out-of-core matrix
-//!   engine: job-fingerprint bound, payload-digest verified, trailer
+//! * [`tile`] — per-tile spill files, the matrix job's one crash-safe
+//!   format: job-fingerprint bound, payload-digest verified, trailer
 //!   closed, so torn writes and bit rot are detected on load instead
-//!   of silently read back;
+//!   of silently read back, and a killed job resumes from its
+//!   completed tiles;
 //! * [`JobStats`] / [`JobState`] — timing, retry and completion
 //!   accounting for the job report surfaced by `sts-core`;
 //! * [`FaultPlan`] — deterministic, seeded fault injection (panicking
@@ -55,7 +52,6 @@
 mod backoff;
 mod budget;
 mod cancel;
-pub mod checkpoint;
 mod chunk;
 mod exit;
 pub mod fault;
@@ -68,7 +64,6 @@ pub mod tile;
 pub use backoff::DecorrelatedJitter;
 pub use budget::{Budget, Deadline, StopReason};
 pub use cancel::CancelToken;
-pub use checkpoint::{CellRecord, Checkpoint, CheckpointError, Fnv1a};
 pub use chunk::{PairChunk, PairSpace};
 pub use exit::{ParseWorkerExitError, WorkerExit};
 pub use fault::{Fault, FaultPlan};
@@ -76,7 +71,7 @@ pub use lease::{CommitOutcome, LeaseTable};
 pub use pool::{ChunkStatus, PoolConfig, PoolRun, RetryPolicy};
 pub use stats::{IsolateStats, JobState, JobStats, ShardStats, TileStats};
 pub use store::{sweep_stale_tmp, FsStorage, Storage};
-pub use tile::{sweep_quarantine, TileData, TileError, TileStore, TileSweep};
+pub use tile::{sweep_quarantine, CellRecord, Fnv1a, TileData, TileError, TileStore, TileSweep};
 
 /// Number of worker threads to use for a workload with `cap` parallel
 /// units (chunks, rows, …).

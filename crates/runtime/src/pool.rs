@@ -11,8 +11,8 @@
 //! are not killable — but a marked chunk tells the operator *which*
 //! pairs wedged). Completed chunk results are streamed back to the
 //! caller's thread through [`run_supervised`]'s `on_complete` sink, so
-//! the caller can fold cells into its matrix and flush checkpoints
-//! without any shared mutable state.
+//! the caller can fold cells into its matrix without any shared
+//! mutable state.
 
 use crate::{Budget, CancelToken, DecorrelatedJitter, PairChunk, StopReason};
 use std::collections::VecDeque;
@@ -178,9 +178,8 @@ impl Shared {
 /// `work(chunk)` returns the computed cells as `(linear index, value)`
 /// pairs; they are handed — in completion order, on the calling
 /// thread — to `on_complete(chunk, cells)`, which is where the caller
-/// folds them into its result and (periodically) flushes a
-/// checkpoint. Panics inside `work` are caught and retried per
-/// [`RetryPolicy`]; `on_complete` must not panic.
+/// folds them into its result. Panics inside `work` are caught and
+/// retried per [`RetryPolicy`]; `on_complete` must not panic.
 ///
 /// The call returns when every chunk is completed, terminally failed,
 /// or skipped because the budget/cancel stopped the run.

@@ -222,21 +222,21 @@ impl fmt::Display for ShardStats {
 pub struct JobStats {
     /// Terminal state.
     pub state: JobState,
-    /// Wall-clock time of the run (excludes checkpoint-restored work).
+    /// Wall-clock time of the run (excludes work resumed from tiles).
     pub elapsed: Duration,
     /// Total pairs in the matrix.
     pub pairs_total: usize,
     /// Pairs with a terminal outcome (scored, quarantined, failed) —
-    /// including cells restored from a checkpoint.
+    /// including cells resumed from tiles.
     pub pairs_completed: usize,
     /// Pairs whose scoring panicked through every retry.
     pub pairs_failed: usize,
     /// Pairs never attempted (budget/deadline/cancel stopped the job).
     pub pairs_skipped: usize,
-    /// Pairs restored from the checkpoint instead of recomputed.
+    /// Pairs resumed from verified tiles instead of recomputed.
     pub pairs_resumed: usize,
-    /// Chunks dealt to the pool (excludes chunks fully covered by the
-    /// checkpoint, which are never queued).
+    /// Scheduling chunks dealt to the pool or the worker fleet
+    /// (tiles resumed from disk are never dealt).
     pub chunks_total: usize,
     /// Chunks that completed.
     pub chunks_completed: usize,
@@ -248,11 +248,6 @@ pub struct JobStats {
     pub retries: u64,
     /// Ids of chunks that exceeded the per-chunk soft timeout.
     pub slow_chunks: Vec<usize>,
-    /// Checkpoint flushes written during the run.
-    pub checkpoint_flushes: usize,
-    /// Checkpoint flushes that failed with an I/O error (the job keeps
-    /// running — losing durability is better than losing the matrix).
-    pub checkpoint_write_errors: usize,
     /// Total time chunks spent queued before a worker picked them up,
     /// summed over all attempts (`> elapsed` is normal with several
     /// workers: it sums *per-chunk* waits).
@@ -309,7 +304,7 @@ impl fmt::Display for JobStats {
         write!(
             f,
             "{}: {:.1}% complete ({}/{} pairs, {} resumed, {} failed, {} skipped) \
-             in {:.3}s; {} retries, {} slow chunk(s), {} checkpoint flush(es)",
+             in {:.3}s; {} retries, {} slow chunk(s)",
             self.state,
             self.percent_complete(),
             self.pairs_completed,
@@ -320,7 +315,6 @@ impl fmt::Display for JobStats {
             self.elapsed.as_secs_f64(),
             self.retries,
             self.slow_chunks.len(),
-            self.checkpoint_flushes,
         )?;
         if self.chunk_run_total > Duration::ZERO {
             write!(
@@ -328,13 +322,6 @@ impl fmt::Display for JobStats {
                 "; chunk wait/run {:.3}s/{:.3}s",
                 self.chunk_wait_total.as_secs_f64(),
                 self.chunk_run_total.as_secs_f64(),
-            )?;
-        }
-        if self.checkpoint_write_errors > 0 {
-            write!(
-                f,
-                " [{} checkpoint write error(s)]",
-                self.checkpoint_write_errors
             )?;
         }
         if let Some(iso) = &self.isolate {
@@ -400,8 +387,6 @@ mod tests {
             chunks_skipped: 0,
             retries: 0,
             slow_chunks: Vec::new(),
-            checkpoint_flushes: 0,
-            checkpoint_write_errors: 0,
             chunk_wait_total: Duration::ZERO,
             chunk_run_total: Duration::ZERO,
             isolate: None,
@@ -432,8 +417,6 @@ mod tests {
             chunks_skipped: 0,
             retries: 0,
             slow_chunks: Vec::new(),
-            checkpoint_flushes: 0,
-            checkpoint_write_errors: 0,
             chunk_wait_total: Duration::ZERO,
             chunk_run_total: Duration::ZERO,
             isolate: None,

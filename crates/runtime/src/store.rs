@@ -1,9 +1,9 @@
 //! The injectable storage boundary for durable job artifacts.
 //!
-//! Everything the runtime persists — checkpoints, matrix tiles — goes
-//! through the [`Storage`] trait instead of calling `std::fs`
-//! directly. Production uses [`FsStorage`], which owns the workspace's
-//! atomic-write discipline (tmp file → flush → `fsync` → rename →
+//! Everything the workspace persists — matrix tiles, the serving WAL
+//! and its snapshots — goes through the [`Storage`] trait instead of
+//! calling `std::fs` directly. Production uses [`FsStorage`], which
+//! owns the workspace's atomic-write discipline (tmp file → flush → `fsync` → rename →
 //! parent-directory `fsync`); the chaos suite swaps in `sts-robust`'s
 //! `FaultyStorage`, which injects torn writes, bit flips, ENOSPC and
 //! stale tmp files *under* the exact code paths production runs. That
@@ -61,7 +61,7 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// The production [`Storage`]: plain `std::fs`, with the atomic-write
-/// discipline the checkpoint layer proved out in PR 3/5.
+/// discipline (tmp write → `fsync` → rename → directory `fsync`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FsStorage;
 
@@ -123,7 +123,7 @@ impl Storage for FsStorage {
 
 /// Sweeps orphaned `*.tmp` files out of `dir`: debris from writes
 /// killed between tmp-write and rename. Returns how many were deleted
-/// and bumps the `runtime.checkpoint.stale_tmp_swept` counter, so
+/// and bumps the `runtime.store.stale_tmp_swept` counter, so
 /// silent garbage accumulation is visible in telemetry. Failures to
 /// remove individual files are ignored — sweeping is hygiene, not
 /// correctness (an un-renamed tmp is never *read* by anything).
@@ -135,7 +135,7 @@ pub fn sweep_stale_tmp(storage: &dyn Storage, dir: &Path) -> io::Result<usize> {
         }
     }
     if swept > 0 {
-        sts_obs::static_counter!("runtime.checkpoint.stale_tmp_swept").add(swept as u64);
+        sts_obs::static_counter!("runtime.store.stale_tmp_swept").add(swept as u64);
     }
     Ok(swept)
 }
@@ -190,7 +190,7 @@ mod tests {
         fs::write(dir.join("orphan-2.tmp"), b"torn").unwrap();
         let before = sts_obs::metrics::global()
             .snapshot()
-            .counter("runtime.checkpoint.stale_tmp_swept")
+            .counter("runtime.store.stale_tmp_swept")
             .unwrap_or(0);
         let swept = sweep_stale_tmp(&s, &dir).unwrap();
         assert_eq!(swept, 2);
@@ -198,7 +198,7 @@ mod tests {
         assert!(!dir.join("orphan-1.tmp").exists());
         let after = sts_obs::metrics::global()
             .snapshot()
-            .counter("runtime.checkpoint.stale_tmp_swept")
+            .counter("runtime.store.stale_tmp_swept")
             .unwrap_or(0);
         assert!(after >= before + 2, "sweep counter must advance");
         fs::remove_dir_all(&dir).unwrap();

@@ -8,12 +8,13 @@
 //! ```text
 //! # STS matrix tile (DESIGN.md §3h)
 //! tile v1
-//! job <16 hex digits>          # job-input fingerprint (as checkpoints)
+//! job <16 hex digits>          # job-input fingerprint
 //! tile <id> <start> <len>      # which slab of the pair space this is
 //! payload <16 hex digits>      # FNV-1a over the cell-line bytes below
-//! cell <lin> s <score>         # records: same tags as checkpoints
-//! cell <lin> f <attempts>      # (s/f/p/x; quarantined cells are
-//! cell <lin> x <exit>          #  re-derived, never stored)
+//! cell <lin> s <score>         # scored cell
+//! cell <lin> f <attempts>      # failed after <attempts> tries
+//! cell <lin> p                 # panicked (legacy no-retry mode)
+//! cell <lin> x <exit>          # poison pair that killed a worker
 //! end <n_cells>                # trailer: number of cell lines above
 //! ```
 //!
@@ -21,7 +22,7 @@
 //! structurally impossible to read back:
 //!
 //! 1. the `job` fingerprint binds the tile to its inputs (a tile from
-//!    another corpus is rejected, exactly like a checkpoint);
+//!    another corpus is rejected and recomputed);
 //! 2. the `payload` digest covers every cell-line byte, so a flipped
 //!    bit anywhere in the data fails the load;
 //! 3. the `end <n>` trailer closes the file, so a torn (truncated)
@@ -36,11 +37,123 @@
 //! the `sts-robust` disk-chaos suite drives torn writes, bit flips,
 //! ENOSPC and stale tmp files through this exact code.
 
-use crate::checkpoint::{record_fields, record_from_fields, CellRecord, Fnv1a};
 use crate::store::{sweep_stale_tmp, Storage};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// FNV-1a 64-bit — the workspace's zero-dependency fingerprint hash.
+/// Not cryptographic; it guards against *accidental* input mismatch
+/// (wrong file, edited corpus) and against torn or flipped tile bytes,
+/// which are the failure modes resume actually meets.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// A fresh hasher at the FNV offset basis.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds raw bytes.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds a `u64` (little-endian).
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Feeds an `f64` by bit pattern (so `-0.0` and `0.0` differ and
+    /// `NaN` payloads are preserved — the fingerprint is about bytes,
+    /// not numerics).
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// The digest.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A stored cell outcome. Mirrors the terminal, *computed* outcomes of
+/// the matrix job; the mapping to `sts-core`'s `PairOutcome` lives
+/// there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellRecord {
+    /// The cell was scored.
+    Score(f64),
+    /// The cell panicked on every attempt (`attempts` made).
+    Failed {
+        /// Total attempts consumed before giving up.
+        attempts: u32,
+    },
+    /// The cell panicked with retries disabled (legacy degraded mode).
+    Panicked,
+    /// The cell killed a worker subprocess and was quarantined with
+    /// the worker's exit status (subprocess execution mode).
+    Poisoned {
+        /// How the worker holding this pair died.
+        exit: crate::WorkerExit,
+    },
+}
+
+/// The record's tag-and-value fields (`s 0.5`, `f 3`, `p`,
+/// `x signal:6`) — the part of a `cell` line after the index. Scores
+/// use Rust's shortest-round-trip `f64` formatting, which parses back
+/// to the *bit-identical* value (`NaN`, `inf` and `-0` included).
+fn record_fields(rec: &CellRecord) -> String {
+    match rec {
+        CellRecord::Score(s) => format!("s {s}"),
+        CellRecord::Failed { attempts } => format!("f {attempts}"),
+        CellRecord::Panicked => "p".to_string(),
+        CellRecord::Poisoned { exit } => format!("x {exit}"),
+    }
+}
+
+/// Parses the tag-and-value fields written by [`record_fields`].
+fn record_from_fields(fields: &mut std::str::SplitWhitespace) -> Result<CellRecord, String> {
+    let tag = fields
+        .next()
+        .ok_or_else(|| "missing cell tag".to_string())?;
+    match tag {
+        "s" => {
+            let v = fields.next().ok_or_else(|| "missing score".to_string())?;
+            v.parse()
+                .map(CellRecord::Score)
+                .map_err(|_| format!("bad score `{v}`"))
+        }
+        "f" => {
+            let v = fields
+                .next()
+                .ok_or_else(|| "missing attempts".to_string())?;
+            v.parse()
+                .map(|attempts| CellRecord::Failed { attempts })
+                .map_err(|_| format!("bad attempts `{v}`"))
+        }
+        "p" => Ok(CellRecord::Panicked),
+        "x" => {
+            let v = fields
+                .next()
+                .ok_or_else(|| "missing worker exit".to_string())?;
+            v.parse()
+                .map(|exit| CellRecord::Poisoned { exit })
+                .map_err(|_| format!("bad worker exit `{v}`"))
+        }
+        other => Err(format!("unknown cell tag `{other}`")),
+    }
+}
 
 /// One spilled tile: the slab geometry plus every terminal cell
 /// record, keyed by *absolute* linear pair index.
@@ -54,8 +167,7 @@ pub struct TileData {
     pub len: usize,
     /// `(lin, record)` for every terminal cell, ascending by `lin`.
     /// Cells whose trajectory is quarantined carry no record — the
-    /// engine re-derives quarantine from preparation, as checkpoints
-    /// do.
+    /// engine re-derives quarantine from preparation.
     pub cells: Vec<(usize, CellRecord)>,
 }
 
@@ -459,6 +571,47 @@ mod tests {
             assert_eq!(l1, l2);
             assert!(bit_eq(r1, r2), "{r1:?} vs {r2:?}");
         }
+    }
+
+    #[test]
+    fn record_codec_round_trips_random_scores_bit_exact() {
+        use sts_rng::{Rng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(99);
+        for _ in 0..200 {
+            let rec = CellRecord::Score(rng.f64().powi(7) * 1e3);
+            let text = record_fields(&rec);
+            let back = record_from_fields(&mut text.split_whitespace()).unwrap();
+            assert!(bit_eq(&back, &rec), "{rec:?} vs {back:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_typed_errors() {
+        for (text, want) in [
+            ("", "missing cell tag"),
+            ("z", "unknown cell tag"),
+            ("s", "missing score"),
+            ("s abc", "bad score"),
+            ("f -1", "bad attempts"),
+            ("x", "missing worker exit"),
+            ("x sig9", "bad worker exit"),
+        ] {
+            let err = record_from_fields(&mut text.split_whitespace()).unwrap_err();
+            assert!(err.contains(want), "`{text}` -> `{err}` (wanted `{want}`)");
+        }
+    }
+
+    #[test]
+    fn fnv1a_is_stable_and_input_sensitive() {
+        let mut a = Fnv1a::new();
+        a.write(b"hello");
+        // Reference FNV-1a 64 digest of "hello".
+        assert_eq!(a.finish(), 0xa430_d846_80aa_bd0b);
+        let mut b = Fnv1a::new();
+        b.write_f64(0.0);
+        let mut c = Fnv1a::new();
+        c.write_f64(-0.0);
+        assert_ne!(b.finish(), c.finish(), "sign of zero must matter");
     }
 
     #[test]

@@ -35,6 +35,18 @@ bench_rates() {
     ' "$1"
 }
 
+# Every `<suite>/<entry id>` and `<suite>/<rate name>` in a BENCH
+# snapshot: the keys the regression step checks for on both sides.
+bench_keys() {
+    awk '
+        /"suite":/ { suite = $2; gsub(/[",]/, "", suite) }
+        /"id": "/ { key = $0; sub(/.*"id": "/, "", key); sub(/".*/, "", key); print suite "/" key }
+        /"name": "[A-Za-z0-9_]*pairs_per_sec"/ {
+            key = $0; sub(/.*"name": "/, "", key); sub(/".*/, "", key); print suite "/" key
+        }
+    ' "$1" | sort -u
+}
+
 echo "== build (release, offline) =="
 cargo build --workspace --release --offline
 
@@ -49,11 +61,11 @@ cargo test --workspace -q --offline
 echo "== chaos (fault injection + lenient-reader fuzz; seeds 0..128 per injector) =="
 run_seeded "chaos suite" cargo test -p sts-robust -q --offline --test chaos
 
-# Supervised batch runtime gate: budget/deadline semantics, the
-# checkpoint → crash → resume round-trip (8 fixed seeds, byte-identical
+# Supervised batch runtime gate: budget/deadline semantics, the tile
+# spill → crash → resume round-trip (8 fixed seeds, byte-identical
 # matrices) and the panic/slow-pair injection suite driving a real
 # 64-trajectory job.
-echo "== runtime (deadlines, cancellation, checkpoint/resume; fixed seeds) =="
+echo "== runtime (deadlines, cancellation, tile resume; fixed seeds) =="
 run_seeded "runtime unit tests" cargo test -p sts-runtime -q --offline
 run_seeded "job lifecycle suite" cargo test -p sts-core -q --offline --test job_lifecycle
 run_seeded "supervised chaos suite" cargo test -p sts-robust -q --offline --test supervised_chaos
@@ -179,7 +191,10 @@ fi
 # fresh BENCH_tier1.json / BENCH_shard.json snapshots is compared
 # against the committed baselines (`git show HEAD:<snap>`), as a delta
 # table. Throughput on shared CI hardware is noisy, so a regression
-# beyond 25% only warns — this step never fails the gate.
+# beyond 25% only warns — this step never fails the gate. An entry or
+# rate present on one side only would drop out of the join without a
+# word, so those are listed as `removed` (baseline only) or `new`
+# (fresh only).
 echo "== bench regression vs committed baselines (non-gating) =="
 for snap in BENCH_tier1.json BENCH_shard.json; do
     if ! baseline="$(git show "HEAD:${snap}" 2>/dev/null)"; then
@@ -200,6 +215,10 @@ for snap in BENCH_tier1.json BENCH_shard.json; do
             flag = (delta < -25) ? "  <-- WARNING: >25% regression" : ""
             printf "  %-40s %14.1f %14.1f %+8.1f%%%s\n", $1, base, fresh, delta, flag
         }'
+    comm -23 <(bench_keys <(printf '%s\n' "$baseline")) <(bench_keys "${snap}") |
+        awk '{ printf "  %-40s %14s\n", $1, "removed" }'
+    comm -13 <(bench_keys <(printf '%s\n' "$baseline")) <(bench_keys "${snap}") |
+        awk '{ printf "  %-40s %14s %14s\n", $1, "", "new" }'
 done
 
 echo "== format =="
