@@ -33,6 +33,7 @@
 //! percent-complete ([`JobStats`]).
 
 use crate::batch::{BatchReport, PairOutcome};
+use crate::shard::ShardOptions;
 use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,14 +55,16 @@ pub enum ExecMode {
     /// computations take the whole job down.
     #[default]
     InProcess,
-    /// Score in supervised `sts-worker` subprocesses over the
-    /// [`sts_isolate`] protocol. A crashed, wedged or babbling worker
-    /// costs one chunk: the supervisor restarts it under a budget and
-    /// bisects the killing chunk down to the single poison pair, which
-    /// is quarantined as [`PairOutcome::Poisoned`] with the worker's
-    /// exit status. Budget, cancellation, tile resume and telemetry
-    /// behave exactly as in-process; per-cell *retries* run inside the
-    /// worker, so they are applied identically but not counted in
+    /// Score in `sts-worker` subprocesses, one per thread, dealt
+    /// `chunk_pairs` chunks by the lease coordinator in [`crate::shard`]
+    /// over loopback TCP — one fleet per job, tiled or not. A crashed,
+    /// wedged or babbling worker costs one chunk: the coordinator kills
+    /// it, restarts it under a budget and bisects the killing chunk
+    /// down to the single poison pair, which is quarantined as
+    /// [`PairOutcome::Poisoned`] with the worker's exit status. Budget,
+    /// cancellation, tile resume and telemetry behave exactly as
+    /// in-process; per-cell *retries* run inside the worker, so they
+    /// are applied identically but not counted in
     /// [`JobStats::retries`], and chunk accounting counts
     /// fully-resolved chunks (bisection fragments are not chunks).
     ///
@@ -76,7 +79,7 @@ pub enum ExecMode {
     /// unit of distribution; an untiled job has no tiles to deal
     /// ([`JobError::ShardRequiresTiling`]). Same pure-config measure
     /// requirement as `Subprocess`.
-    Sharded(crate::shard::ShardOptions),
+    Sharded(ShardOptions),
 }
 
 /// Tuning for [`ExecMode::Subprocess`]. `Default` is production-shaped;
@@ -97,9 +100,6 @@ pub struct IsolateOptions {
     /// free); exhaustion stops the job as
     /// [`JobState::WorkersExhausted`].
     pub restart_budget: usize,
-    /// Worker deaths an isolated single-pair chunk may cause before
-    /// the pair is quarantined as poison.
-    pub poison_attempts: u32,
 }
 
 impl Default for IsolateOptions {
@@ -109,7 +109,30 @@ impl Default for IsolateOptions {
             hard_timeout: Duration::from_secs(30),
             ready_timeout: Duration::from_secs(10),
             restart_budget: 256,
-            poison_attempts: 1,
+        }
+    }
+}
+
+impl IsolateOptions {
+    /// The coordinator options a `Subprocess` job runs on: one worker
+    /// per thread (`0` = automatic, as for the pool), the hard timeout
+    /// as the lease timeout and no heartbeats, so a chunk must answer
+    /// within one hard timeout.
+    pub(crate) fn fleet_options(&self, threads: usize) -> ShardOptions {
+        ShardOptions {
+            worker: self.worker.clone(),
+            workers: match threads {
+                0 => sts_runtime::thread_count(usize::MAX),
+                n => n,
+            },
+            lease_timeout: self.hard_timeout,
+            ready_timeout: self.ready_timeout,
+            hb_every: 0,
+            restart_budget: self.restart_budget,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(100),
+            launcher: None,
+            injector: None,
         }
     }
 }

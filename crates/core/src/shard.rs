@@ -1,38 +1,63 @@
-//! The sharded tile coordinator: lease-based distribution of matrix
-//! tiles to a fleet of socket workers, with failover and byte-identical
-//! recovery.
+//! The worker-fleet coordinator: lease-based distribution of pair
+//! units to a fleet of socket workers, with failover, crash
+//! attribution and byte-identical recovery.
 //!
-//! [`ExecMode::Sharded`](crate::job::ExecMode) turns the tiled engine's
-//! phase A into a distributed system: the coordinator deals each
-//! pending tile to one of `workers` tile workers over loopback TCP
-//! (framed by [`sts_isolate::protocol`], moved by
-//! [`sts_isolate::FrameConn`]), and the worker scores the whole tile as
-//! a single wire chunk. The pieces that make this safe under real
-//! network failure:
+//! Both fleet modes of [`ExecMode`](crate::job::ExecMode) run here,
+//! once per job. The coordinator deals units to `workers` worker
+//! processes (`sts-worker serve-tcp <addr>`) over loopback TCP, framed
+//! by [`sts_isolate::protocol`] and moved by
+//! [`sts_isolate::FrameConn`], and a worker scores each unit as a
+//! single wire chunk:
+//!
+//! * `Sharded` deals whole tiles, with heartbeats;
+//! * `Subprocess` deals the `chunk_pairs` chunks of every pending
+//!   tile, with the hard timeout as the lease timeout and no
+//!   heartbeats, and turns crash attribution on.
+//!
+//! The pieces that make this safe under real process and network
+//! failure:
 //!
 //! * **Leases, not assignments.** Every deal carries a fresh epoch from
 //!   a [`LeaseTable`] (the wire request id). A worker that dies, wedges
 //!   or goes silent past [`ShardOptions::lease_timeout`] forfeits its
-//!   lease; the tile returns to the queue and is re-dealt. Heartbeats
+//!   lease; the unit returns to the queue and is re-dealt. Heartbeats
 //!   (`hb` frames every [`ShardOptions::hb_every`] scored pairs) let an
 //!   honest-but-slow worker keep its lease alive indefinitely.
 //! * **At-most-once commit.** A result only commits when it carries the
-//!   *live* epoch of its tile. Duplicated frames and zombie results
+//!   *live* epoch of its unit. Duplicated frames and zombie results
 //!   from superseded leases are refused — refusal is sound because
 //!   scoring is deterministic, so the committed bytes equal whatever
 //!   the zombie computed. Exactly one spill per tile ever happens.
+//! * **Bounded garbage retries.** A frame destroyed in transit may have
+//!   been the result, so the first garbage frame on a lease re-deals
+//!   the unit to the same worker. A second one loses the worker: one
+//!   that always answers garbage must cost the restart budget, not
+//!   re-deal forever.
 //! * **Typed handshake rejection.** Workers verify the `hello` frame's
 //!   protocol version and job fingerprint before `ready`
 //!   ([`crate::worker`]); a rejection marks the *pairing of binaries*
-//!   broken, stops all further spawning, and falls through to local
-//!   compute rather than burning the restart budget on a permanent
-//!   condition.
+//!   broken and stops all further spawning rather than burning the
+//!   restart budget on a permanent condition.
 //! * **Bounded failover.** Worker respawns share one restart budget
 //!   with decorrelated-jitter backoff. A slot whose respawn budget is
-//!   exhausted retires; when the whole fleet is gone, the leftover
-//!   tiles are returned to the caller, which computes them in-process
+//!   exhausted retires; when the whole fleet is gone, the unresolved
+//!   units are returned to the caller as leftovers. A sharded job
+//!   computes them in-process
 //!   ([`ShardStats::tiles_local_fallback`]) — graceful degradation,
 //!   never a lost job.
+//! * **Crash attribution** (`Subprocess` only). A worker that dies,
+//!   outlives its lease or sends non-frame bytes in place of a result
+//!   is killed, and the unit it held is bisected — both halves queued
+//!   at the front, so attribution finishes before new work starts —
+//!   until the single pair that kills workers is quarantined as
+//!   [`PairOutcome::Poisoned`] with the worker's [`WorkerExit`]. Which
+//!   pairs end up poisoned depends only on which pairs kill workers, so
+//!   seeded runs replay the same poison set. Here a lost fleet stops
+//!   the job ([`StopReason::WorkerRestartsExhausted`] or
+//!   [`StopReason::WorkerRejected`]) instead of falling back to local
+//!   compute, which would run the very pairs that kill workers inside
+//!   the coordinator. `Sharded` keeps re-dealing a lost tile whole: on
+//!   a network, a lost lease is no evidence against the tile.
 //!
 //! The transport seam ([`ShardOptions::injector`]) is where the
 //! network-chaos suite in `sts-robust` injects seeded drops, delays,
@@ -52,12 +77,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use sts_isolate::protocol::ProtocolError;
-use sts_isolate::{FrameConn, NetDirection, NetFault, NetInjector};
+use sts_isolate::{is_timeout, FrameConn, NetDirection, NetFault, NetInjector};
 use sts_obs::trace::{self, ClockMap};
 use sts_obs::{Snapshot, SpanRecord};
 use sts_runtime::{
-    Budget, CancelToken, CommitOutcome, DecorrelatedJitter, LeaseTable, PairChunk, ShardStats,
-    StopReason,
+    Budget, CancelToken, CommitOutcome, DecorrelatedJitter, IsolateStats, LeaseTable, PairChunk,
+    ShardStats, StopReason, WorkerExit,
 };
 
 /// Tuning for [`ExecMode::Sharded`](crate::job::ExecMode). `Default`
@@ -147,6 +172,15 @@ pub trait WorkerHandle: Send {
     /// Terminate the worker. Idempotent; called on every teardown
     /// path, including drop-equivalent cleanup at coordinator exit.
     fn kill(&mut self);
+
+    /// Reaps a worker that hung up mid-unit and reports how it exited
+    /// — crash attribution's verdict. Bounded: a worker that lingers
+    /// is killed. The default, for workers with no process to reap,
+    /// kills and reports [`WorkerExit::Protocol`].
+    fn reap(&mut self) -> WorkerExit {
+        self.kill();
+        WorkerExit::Protocol
+    }
 }
 
 /// Spawns `<program> serve-tcp <addr>` subprocesses with null stdio —
@@ -179,6 +213,22 @@ impl WorkerHandle for ProcessHandle {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+
+    fn reap(&mut self) -> WorkerExit {
+        // A worker that hung up is dead or dying: give it two seconds
+        // to exit on its own before killing it.
+        for _ in 0..200 {
+            match self.child.try_wait() {
+                Ok(Some(status)) => return WorkerExit::from_status(status),
+                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => break,
+            }
+        }
+        let _ = self.child.kill();
+        self.child
+            .wait()
+            .map_or(WorkerExit::Code(-1), WorkerExit::from_status)
+    }
 }
 
 impl Drop for ProcessHandle {
@@ -207,16 +257,19 @@ impl NetInjector for OffsetInjector {
 /// count, so windows never overlap.
 const CONN_INDEX_STRIDE: u64 = 1 << 20;
 
-/// What [`run_sharded`] concluded.
-pub(crate) struct ShardRun {
+/// What [`run_fleet`] concluded.
+pub(crate) struct FleetRun {
     /// Coordinator accounting ([`ShardStats::tiles_local_fallback`] is
     /// left 0 — the caller owns the fallback).
     pub stats: ShardStats,
-    /// Tile indices (into the caller's tile list) not committed by the
-    /// fleet: the run stopped, or the fleet was exhausted/rejected.
-    /// Ascending order.
-    pub leftover: Vec<usize>,
-    /// Why the run stopped early, if it did.
+    /// Crash-attribution accounting (all zero with attribution off
+    /// except the spawn counts).
+    pub isolate: IsolateStats,
+    /// Units neither committed nor poisoned by the fleet: the run
+    /// stopped, or the fleet was exhausted/rejected. Ascending order.
+    pub leftover: Vec<PairChunk>,
+    /// Why the run stopped early, if it did. With attribution on, a
+    /// lost fleet that left units unresolved is a stop too.
     pub stop: Option<StopReason>,
     /// The fleet's shipped telemetry, merged coordinator-side.
     pub telemetry: FleetTelemetry,
@@ -261,15 +314,34 @@ struct ConnTelemetry {
 enum Verdict {
     /// The live epoch's result committed; here are its dense outcomes.
     Committed(Vec<PairOutcome>),
-    /// The frame was destroyed in transit (typed garbage): the worker
-    /// is alive, re-lease and resend to it.
-    RetrySameWorker,
-    /// Timeout, EOF, I/O error or protocol violation: kill the worker,
-    /// expire the lease, respawn under budget.
-    WorkerLost,
+    /// A frame was destroyed in transit or in the worker (typed
+    /// garbage). It may have been the result.
+    Garbage,
+    /// The worker is unusable: kill it, expire the lease, respawn under
+    /// budget.
+    Lost(Loss),
     /// The commit gate refused our own epoch (defensive: should be
-    /// unreachable since a tile is held by exactly one slot).
+    /// unreachable since a unit is held by exactly one slot).
     AlreadyDone,
+}
+
+/// How a worker was lost holding a unit — what crash attribution turns
+/// into a [`WorkerExit`].
+enum Loss {
+    /// No frame within the lease timeout.
+    Silent,
+    /// EOF or an I/O error: the worker hung up or died.
+    HungUp,
+    /// Garbage or a malformed frame in place of a result.
+    Garbled,
+}
+
+/// One dealable unit: a pair range and its bisection depth (0 for a
+/// unit the caller dealt).
+#[derive(Clone, Copy)]
+struct Unit {
+    chunk: PairChunk,
+    depth: usize,
 }
 
 enum SpawnError {
@@ -283,19 +355,21 @@ enum SpawnError {
 
 /// Coordinator state shared by all slot threads.
 struct Shared<'a> {
-    tiles: &'a [PairChunk],
-    todo: &'a [usize],
     preamble: &'a [String],
     opts: &'a ShardOptions,
+    /// Crash attribution on (see the [module docs](self)).
+    attribute: bool,
     launcher: Arc<dyn WorkerLauncher>,
-    /// Pending positions into `todo`.
+    /// Every unit of the run, by position; bisection appends halves.
+    units: Mutex<Vec<Unit>>,
+    /// Pending positions into `units`.
     queue: Mutex<VecDeque<usize>>,
     queue_cv: Condvar,
-    /// Lease arbiter over `todo` positions.
+    /// Lease arbiter over `units` positions (leftover = the pending
+    /// ones at exit).
     lt: Mutex<LeaseTable>,
-    /// Committed flags per position (leftover = the unset ones).
-    done: Vec<AtomicBool>,
-    done_count: AtomicUsize,
+    /// Pairs neither committed nor poisoned yet; the run ends at zero.
+    pairs_left: AtomicUsize,
     stopped: AtomicBool,
     rejected: AtomicBool,
     restarts_left: AtomicUsize,
@@ -307,6 +381,12 @@ struct Shared<'a> {
     /// Results refused without going through the lease table (stale
     /// epochs we cannot map to a tile).
     stale_results: AtomicUsize,
+    /// Crash attribution: workers killed for outliving their lease,
+    /// workers lost to garbled output, pairs poisoned, deepest split.
+    hard_timeout_kills: AtomicUsize,
+    protocol_errors: AtomicUsize,
+    pairs_poisoned: AtomicUsize,
+    max_depth: AtomicUsize,
     /// Job-wide trace id forwarded in every connection's `trace` frame.
     trace_id: u64,
     /// The `job.shard` span id worker root spans re-parent under (0
@@ -320,8 +400,8 @@ struct Shared<'a> {
 
 impl Shared<'_> {
     /// Claims the next pending position, waiting out windows where
-    /// every remaining tile is in flight on some other slot. `None`
-    /// once everything is committed or the run stopped.
+    /// every remaining unit is in flight on some other slot. `None`
+    /// once every pair is resolved or the run stopped.
     fn claim(&self) -> Option<usize> {
         let mut q = self.queue.lock().unwrap();
         loop {
@@ -331,7 +411,7 @@ impl Shared<'_> {
             if let Some(pos) = q.pop_front() {
                 return Some(pos);
             }
-            if self.done_count.load(Ordering::SeqCst) >= self.todo.len() {
+            if self.pairs_left.load(Ordering::SeqCst) == 0 {
                 return None;
             }
             // An in-flight tile may yet be requeued by a failing slot;
@@ -349,10 +429,77 @@ impl Shared<'_> {
         self.queue_cv.notify_all();
     }
 
-    fn mark_done(&self, pos: usize) {
-        self.done[pos].store(true, Ordering::SeqCst);
-        self.done_count.fetch_add(1, Ordering::SeqCst);
+    /// Counts `pairs` as committed or poisoned.
+    fn resolve(&self, pairs: usize) {
+        self.pairs_left.fetch_sub(pairs, Ordering::SeqCst);
         self.queue_cv.notify_all();
+    }
+
+    fn unit(&self, pos: usize) -> Unit {
+        self.units
+            .lock()
+            .expect("a slot panicked holding coordinator state")[pos]
+    }
+
+    /// Crash attribution for the unit at `pos`, whose worker was lost
+    /// with `exit`. A multi-pair unit is bisected, halves queued at the
+    /// front with the left one first; a single pair is quarantined as
+    /// poison and handed to the commit sink.
+    fn attribute_loss(
+        &self,
+        pos: usize,
+        exit: WorkerExit,
+        tx: &mpsc::Sender<(PairChunk, Vec<PairOutcome>)>,
+    ) {
+        let Unit { chunk, depth } = self.unit(pos);
+        // The unit is resolved here, outside the lease protocol.
+        self.lt
+            .lock()
+            .expect("a slot panicked holding coordinator state")
+            .force_done(pos);
+        if chunk.len <= 1 {
+            self.note_depth(depth);
+            self.pairs_poisoned.fetch_add(1, Ordering::SeqCst);
+            sts_obs::static_counter!("shard.pairs.poisoned").incr();
+            self.resolve(chunk.len);
+            let _ = tx.send((chunk, vec![PairOutcome::Poisoned { exit }]));
+            return;
+        }
+        let left = chunk.len / 2;
+        let halves = [
+            PairChunk { len: left, ..chunk },
+            PairChunk {
+                start: chunk.start + left,
+                len: chunk.len - left,
+                ..chunk
+            },
+        ];
+        self.note_depth(depth + 1);
+        let mut units = self
+            .units
+            .lock()
+            .expect("a slot panicked holding coordinator state");
+        let mut lt = self
+            .lt
+            .lock()
+            .expect("a slot panicked holding coordinator state");
+        let mut q = self
+            .queue
+            .lock()
+            .expect("a slot panicked holding coordinator state");
+        for half in halves.into_iter().rev() {
+            units.push(Unit {
+                chunk: half,
+                depth: depth + 1,
+            });
+            q.push_front(lt.add());
+        }
+        self.queue_cv.notify_all();
+    }
+
+    fn note_depth(&self, depth: usize) {
+        self.max_depth.fetch_max(depth, Ordering::SeqCst);
+        sts_obs::static_histogram!("shard.bisect.depth").record(depth as u64);
     }
 
     fn stop(&self) {
@@ -372,10 +519,11 @@ impl Shared<'_> {
         trace::event("shard.tile.expire", self.tile_id(pos));
     }
 
-    /// The caller-visible tile id at queue position `pos` — the value
-    /// every `shard.tile.*` lifecycle event carries.
+    /// The caller-visible unit id at position `pos` (a bisected half
+    /// keeps its parent's) — the value every `shard.tile.*` lifecycle
+    /// event carries.
     fn tile_id(&self, pos: usize) -> f64 {
-        self.tiles[self.todo[pos]].id as f64
+        self.unit(pos).chunk.id as f64
     }
 
     /// Credits `pairs` committed pairs to connection `conn_id` (the
@@ -505,23 +653,27 @@ impl Shared<'_> {
     }
 }
 
-/// Deals the `todo` tiles to a worker fleet and calls `on_commit` (on
-/// this thread) exactly once per committed tile, in commit order, with
-/// the tile's dense outcomes. See the [module docs](self) for the
-/// protocol; see [`ShardRun`] for what comes back.
-pub(crate) fn run_sharded(
-    tiles: &[PairChunk],
-    todo: &[usize],
+/// Deals `units` to a worker fleet and calls `on_commit` (on this
+/// thread) exactly once per resolved unit, in resolution order, with
+/// the unit and its dense outcomes. A committed unit may be smaller
+/// than the one dealt (bisection), and a poisoned pair arrives as a
+/// one-pair unit. `attribute` turns crash attribution on. See the
+/// [module docs](self) for the protocol; see [`FleetRun`] for what
+/// comes back.
+pub(crate) fn run_fleet(
+    units: &[PairChunk],
     preamble: &[String],
     opts: &ShardOptions,
+    attribute: bool,
     cancel: &CancelToken,
     budget: Budget,
-    on_commit: &mut dyn FnMut(usize, Vec<PairOutcome>),
-) -> ShardRun {
+    on_commit: &mut dyn FnMut(PairChunk, Vec<PairOutcome>),
+) -> FleetRun {
     let shard_span = trace::span("job.shard");
-    if todo.is_empty() {
-        return ShardRun {
+    if units.is_empty() {
+        return FleetRun {
             stats: ShardStats::default(),
+            isolate: IsolateStats::default(),
             leftover: Vec::new(),
             stop: None,
             telemetry: FleetTelemetry::default(),
@@ -537,21 +689,25 @@ pub(crate) fn run_sharded(
         }),
     };
     let slots = if opts.workers == 0 {
-        sts_runtime::worker_count(todo.len())
+        sts_runtime::worker_count(units.len())
     } else {
-        opts.workers.min(todo.len()).max(1)
+        opts.workers.min(units.len()).max(1)
     };
     let shared = Shared {
-        tiles,
-        todo,
         preamble,
         opts,
+        attribute,
         launcher,
-        queue: Mutex::new((0..todo.len()).collect()),
+        units: Mutex::new(
+            units
+                .iter()
+                .map(|&chunk| Unit { chunk, depth: 0 })
+                .collect(),
+        ),
+        queue: Mutex::new((0..units.len()).collect()),
         queue_cv: Condvar::new(),
-        lt: Mutex::new(LeaseTable::new(todo.len())),
-        done: (0..todo.len()).map(|_| AtomicBool::new(false)).collect(),
-        done_count: AtomicUsize::new(0),
+        lt: Mutex::new(LeaseTable::new(units.len())),
+        pairs_left: AtomicUsize::new(units.iter().map(|u| u.len).sum()),
         stopped: AtomicBool::new(false),
         rejected: AtomicBool::new(false),
         restarts_left: AtomicUsize::new(opts.restart_budget),
@@ -561,6 +717,10 @@ pub(crate) fn run_sharded(
         workers_rejected: AtomicUsize::new(0),
         frames_corrupt: AtomicUsize::new(0),
         stale_results: AtomicUsize::new(0),
+        hard_timeout_kills: AtomicUsize::new(0),
+        protocol_errors: AtomicUsize::new(0),
+        pairs_poisoned: AtomicUsize::new(0),
+        max_depth: AtomicUsize::new(0),
         // Process id ⊕ span id: unique across a fleet of coordinators
         // on one host and across reruns in one process.
         trace_id: (u64::from(std::process::id()) << 32) | (shard_span.id() & 0xffff_ffff),
@@ -569,7 +729,7 @@ pub(crate) fn run_sharded(
         flushes: AtomicUsize::new(0),
     };
 
-    let (tx, rx) = mpsc::channel::<(usize, Vec<PairOutcome>)>();
+    let (tx, rx) = mpsc::channel::<(PairChunk, Vec<PairOutcome>)>();
     let mut stop_reason: Option<StopReason> = None;
     let mut committed_pairs = 0usize;
     std::thread::scope(|s| {
@@ -583,9 +743,9 @@ pub(crate) fn run_sharded(
         // commit order, so the caller's closure needs no Send bound.
         loop {
             match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((tile_idx, outs)) => {
+                Ok((unit, outs)) => {
                     committed_pairs += outs.len();
-                    on_commit(tile_idx, outs);
+                    on_commit(unit, outs);
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -603,9 +763,9 @@ pub(crate) fn run_sharded(
         }
         // Commits that raced the shutdown are still commits: the lease
         // table accepted them and the spill must happen.
-        while let Ok((tile_idx, outs)) = rx.try_recv() {
+        while let Ok((unit, outs)) = rx.try_recv() {
             committed_pairs += outs.len();
-            on_commit(tile_idx, outs);
+            on_commit(unit, outs);
         }
     });
 
@@ -621,14 +781,36 @@ pub(crate) fn run_sharded(
         tiles_local_fallback: 0,
         telemetry_flushes: shared.flushes.load(Ordering::SeqCst),
     };
-    drop(lt);
-    let leftover = (0..todo.len())
-        .filter(|&pos| !shared.done[pos].load(Ordering::SeqCst))
-        .map(|pos| todo[pos])
+    let all_units = shared
+        .units
+        .lock()
+        .expect("a slot panicked holding coordinator state");
+    let mut leftover: Vec<PairChunk> = lt
+        .pending()
+        .into_iter()
+        .map(|pos| all_units[pos].chunk)
         .collect();
+    drop((lt, all_units));
+    leftover.sort_unstable_by_key(|c| c.start);
+    if attribute && stop_reason.is_none() && !leftover.is_empty() {
+        stop_reason = Some(if shared.rejected.load(Ordering::SeqCst) {
+            StopReason::WorkerRejected
+        } else {
+            StopReason::WorkerRestartsExhausted
+        });
+    }
+    let isolate = IsolateStats {
+        workers_spawned: stats.workers_spawned,
+        worker_restarts: stats.worker_restarts,
+        worker_kills: shared.hard_timeout_kills.load(Ordering::SeqCst),
+        protocol_errors: shared.protocol_errors.load(Ordering::SeqCst),
+        pairs_poisoned: shared.pairs_poisoned.load(Ordering::SeqCst),
+        max_bisect_depth: shared.max_depth.load(Ordering::SeqCst),
+    };
     let telemetry = shared.fleet_telemetry();
-    ShardRun {
+    FleetRun {
         stats,
+        isolate,
         leftover,
         stop: stop_reason,
         telemetry,
@@ -646,10 +828,10 @@ struct Worker {
     clock: ClockMap,
 }
 
-/// One slot: claim a tile, keep a worker alive, deal and commit, until
+/// One slot: claim a unit, keep a worker alive, deal and commit, until
 /// the queue drains, the run stops, the handshake is rejected, or the
 /// restart budget retires this slot.
-fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<PairOutcome>)>) {
+fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(PairChunk, Vec<PairOutcome>)>) {
     let mut live: Option<Worker> = None;
     let mut jitter = DecorrelatedJitter::new(
         shared.opts.backoff_base,
@@ -658,6 +840,10 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<Pai
     );
     let mut spawned_once = false;
     'slot: while let Some(pos) = shared.claim() {
+        let unit = shared.unit(pos).chunk;
+        // One same-worker resend after a garbage frame, per unit and
+        // worker.
+        let mut garbage_retried = false;
         loop {
             if shared.stopped.load(Ordering::SeqCst) {
                 shared.requeue(pos);
@@ -681,7 +867,10 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<Pai
                 }
                 spawned_once = true;
                 match spawn_ready_worker(shared) {
-                    Ok(w) => live = Some(w),
+                    Ok(w) => {
+                        live = Some(w);
+                        garbage_retried = false;
+                    }
                     Err(SpawnError::Failed) => continue,
                     Err(SpawnError::Rejected) => {
                         shared.workers_rejected.fetch_add(1, Ordering::SeqCst);
@@ -692,43 +881,68 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<Pai
                     }
                 }
             }
-            let tile = &shared.tiles[shared.todo[pos]];
             let Some(epoch) = shared.lt.lock().unwrap().lease(pos) else {
                 // Defensive: positions are claimed exclusively, so a
-                // committed tile cannot be re-claimed.
+                // committed unit cannot be re-claimed.
                 break;
             };
             trace::event("shard.tile.lease", shared.tile_id(pos));
             let w = live.as_mut().expect("worker ensured above");
             if w.conn
-                .send(&format!("chunk {epoch} {} {}", tile.start, tile.len))
+                .send(&format!("chunk {epoch} {} {}", unit.start, unit.len))
                 .is_err()
             {
+                // Never dealt, so nothing to attribute: re-deal it to
+                // a fresh worker.
                 teardown(&mut live);
                 shared.expire(pos);
                 continue;
             }
             trace::event("shard.tile.deal", shared.tile_id(pos));
             let _ = w.conn.set_read_deadline(Some(shared.opts.lease_timeout));
-            match wait_result(shared, w, pos, tile, epoch) {
+            let loss = match wait_result(shared, w, pos, &unit, epoch) {
                 Verdict::Committed(outs) => {
                     shared.credit_commit(w.id, outs.len() as u64);
                     trace::event("shard.tile.commit", shared.tile_id(pos));
-                    shared.mark_done(pos);
-                    let _ = tx.send((shared.todo[pos], outs));
+                    shared.resolve(unit.len);
+                    let _ = tx.send((unit, outs));
                     break;
                 }
                 Verdict::AlreadyDone => break,
-                Verdict::RetrySameWorker => {
+                Verdict::Garbage if !shared.attribute && !garbage_retried => {
+                    // Line noise on the wire may have destroyed our
+                    // result: re-lease and resend to the same worker,
+                    // once. The commit gate absorbs any original that
+                    // later limps in.
+                    garbage_retried = true;
                     shared.expire(pos);
                     continue;
                 }
-                Verdict::WorkerLost => {
-                    teardown(&mut live);
-                    shared.expire(pos);
-                    continue;
-                }
+                Verdict::Garbage => Loss::Garbled,
+                Verdict::Lost(loss) => loss,
+            };
+            let mut w = live.take().expect("a verdict needs a live worker");
+            shared.expire(pos);
+            if !shared.attribute {
+                w.handle.kill();
+                continue;
             }
+            let exit = match loss {
+                Loss::Silent => {
+                    w.handle.kill();
+                    shared.hard_timeout_kills.fetch_add(1, Ordering::SeqCst);
+                    sts_obs::static_counter!("shard.workers.killed").incr();
+                    WorkerExit::HardTimeout
+                }
+                Loss::HungUp => w.handle.reap(),
+                Loss::Garbled => {
+                    w.handle.kill();
+                    shared.protocol_errors.fetch_add(1, Ordering::SeqCst);
+                    WorkerExit::Protocol
+                }
+            };
+            shared.attribute_loss(pos, exit, tx);
+            break;
         }
     }
     if let Some(mut w) = live.take() {
@@ -782,7 +996,8 @@ fn teardown(live: &mut Option<Worker>) {
 /// any epoch reset the deadline simply by being frames; results for
 /// superseded epochs are refused and skipped. Telemetry frames
 /// (`tstat`/`tspan`) are absorbed in passing — malformed ones are
-/// protocol violations, not chaos, and lose the worker.
+/// protocol violations, not chaos, and lose the worker. Garbage is the
+/// caller's to judge.
 fn wait_result(
     shared: &Shared<'_>,
     w: &mut Worker,
@@ -810,19 +1025,19 @@ fn wait_result(
                     }
                     Some("tstat") => {
                         if !shared.absorb_tstat(w.id, &frame) {
-                            return Verdict::WorkerLost;
+                            return Verdict::Lost(Loss::Garbled);
                         }
                         continue;
                     }
                     Some("tspan") => {
                         if !shared.absorb_tspan(w.id, w.clock, &frame) {
-                            return Verdict::WorkerLost;
+                            return Verdict::Lost(Loss::Garbled);
                         }
                         continue;
                     }
                     Some("result") => {
                         let Some(id) = fields.next().and_then(|s| s.parse::<u64>().ok()) else {
-                            return Verdict::WorkerLost;
+                            return Verdict::Lost(Loss::Garbled);
                         };
                         if id != epoch {
                             // A duplicated frame or a superseded
@@ -835,26 +1050,24 @@ fn wait_result(
                             .strip_prefix(&format!("result {id} "))
                             .unwrap_or_default();
                         let Some(outs) = decode_tile(payload, tile) else {
-                            return Verdict::WorkerLost;
+                            return Verdict::Lost(Loss::Garbled);
                         };
                         return match shared.lt.lock().unwrap().commit(pos, epoch) {
                             CommitOutcome::Committed => Verdict::Committed(outs),
                             CommitOutcome::Duplicate | CommitOutcome::Stale => Verdict::AlreadyDone,
                         };
                     }
-                    _ => return Verdict::WorkerLost,
+                    _ => return Verdict::Lost(Loss::Garbled),
                 }
             }
             Err(ProtocolError::Garbage { .. }) => {
-                // Line noise on the wire. The destroyed frame may have
-                // been our result — re-lease and resend to the same
-                // (healthy) worker; the commit gate absorbs any
-                // original that later limps in.
                 shared.frames_corrupt.fetch_add(1, Ordering::SeqCst);
                 sts_obs::static_counter!("shard.frames.corrupt").incr();
-                return Verdict::RetrySameWorker;
+                return Verdict::Garbage;
             }
-            Err(_) => return Verdict::WorkerLost,
+            Err(e) if is_timeout(&e) => return Verdict::Lost(Loss::Silent),
+            Err(ProtocolError::FrameTooLarge { .. }) => return Verdict::Lost(Loss::Garbled),
+            Err(_) => return Verdict::Lost(Loss::HungUp),
         }
     }
 }
@@ -1100,7 +1313,7 @@ mod tests {
         preamble_tamper: impl FnOnce(&mut Vec<String>),
     ) -> (
         Vec<Option<Vec<PairOutcome>>>,
-        ShardRun,
+        FleetRun,
         Vec<Trajectory>,
         Vec<Trajectory>,
     ) {
@@ -1119,21 +1332,25 @@ mod tests {
         );
         preamble_tamper(&mut preamble);
         let tiles: Vec<PairChunk> = space.chunks(4).collect();
-        let todo: Vec<usize> = (0..tiles.len()).collect();
         let mut committed: Vec<Option<Vec<PairOutcome>>> = vec![None; tiles.len()];
-        let run = run_sharded(
+        let run = run_fleet(
             &tiles,
-            &todo,
             &preamble,
             opts,
+            false,
             &sts_runtime::CancelToken::new(),
             Budget::default(),
-            &mut |idx, outs| {
+            &mut |tile, outs| {
+                let idx = tile.id;
                 assert!(committed[idx].is_none(), "tile {idx} committed twice");
                 committed[idx] = Some(outs);
             },
         );
         (committed, run, queries, candidates)
+    }
+
+    fn leftover_ids(run: &FleetRun) -> Vec<usize> {
+        run.leftover.iter().map(|tile| tile.id).collect()
     }
 
     #[test]
@@ -1206,7 +1423,7 @@ mod tests {
         let opts = shard_opts(Arc::new(BrokenLauncher));
         let (committed, run, _, _) = run(&opts, |_| {});
         assert!(committed.iter().all(Option::is_none));
-        assert_eq!(run.leftover, vec![0, 1, 2, 3]);
+        assert_eq!(leftover_ids(&run), vec![0, 1, 2, 3]);
         assert!(
             run.stop.is_none(),
             "exhaustion is not a stop: {:?}",
@@ -1229,7 +1446,7 @@ mod tests {
             );
         });
         assert!(committed.iter().all(Option::is_none));
-        assert_eq!(run.leftover, vec![0, 1, 2, 3]);
+        assert_eq!(leftover_ids(&run), vec![0, 1, 2, 3]);
         assert!(run.stats.workers_rejected >= 1);
         assert_eq!(
             run.stats.worker_restarts, 0,
@@ -1253,6 +1470,90 @@ mod tests {
             "3 4 s 0.5 5 zz 6 q",     // malformed record
         ] {
             assert!(decode_tile(bad, &tile).is_none(), "{bad:?}");
+        }
+    }
+
+    /// An in-thread worker that scores pair `lin` as `2 · lin` and
+    /// hangs up on any chunk holding pair `poison` — a crash the
+    /// coordinator can only attribute by bisection.
+    struct HangUpLauncher {
+        poison: usize,
+    }
+
+    impl WorkerLauncher for HangUpLauncher {
+        fn launch(&self, addr: SocketAddr) -> io::Result<Box<dyn WorkerHandle>> {
+            let stream = TcpStream::connect(addr)?;
+            let sock = stream.try_clone()?;
+            let mut conn = FrameConn::new(stream.try_clone()?)?;
+            let poison = self.poison;
+            std::thread::spawn(move || {
+                while let Ok(frame) = conn.recv() {
+                    let fields: Vec<&str> = frame.split_whitespace().collect();
+                    match fields.as_slice() {
+                        ["begin"] => {
+                            let _ = conn.send("ready");
+                        }
+                        ["chunk", id, start, len] => {
+                            let start: usize = start.parse().unwrap();
+                            let len: usize = len.parse().unwrap();
+                            if (start..start + len).contains(&poison) {
+                                let _ = sock.shutdown(Shutdown::Both);
+                                return;
+                            }
+                            let mut body = format!("result {id} {len}");
+                            for lin in start..start + len {
+                                body.push_str(&format!(" {lin} s {}", 2 * lin));
+                            }
+                            let _ = conn.send(&body);
+                        }
+                        ["shutdown"] => return,
+                        _ => {}
+                    }
+                }
+            });
+            Ok(Box::new(ThreadHandle { stream }))
+        }
+    }
+
+    #[test]
+    fn lost_worker_is_bisected_down_to_its_poison_pair() {
+        let opts = ShardOptions {
+            restart_budget: 16,
+            ..shard_opts(Arc::new(HangUpLauncher { poison: 11 }))
+        };
+        let units: Vec<PairChunk> = PairSpace::new(4, 8).chunks(8).collect();
+        let mut cells: Vec<Option<PairOutcome>> = vec![None; 32];
+        let run = run_fleet(
+            &units,
+            &[],
+            &opts,
+            true,
+            &sts_runtime::CancelToken::new(),
+            Budget::default(),
+            &mut |unit, outs| {
+                for (lin, outcome) in unit.range().zip(outs) {
+                    assert!(cells[lin].is_none(), "pair {lin} resolved twice");
+                    cells[lin] = Some(outcome);
+                }
+            },
+        );
+        assert!(run.stop.is_none(), "{:?}", run.stop);
+        assert!(run.leftover.is_empty());
+        assert_eq!(run.isolate.pairs_poisoned, 1);
+        assert!(
+            run.isolate.max_bisect_depth >= 3,
+            "depth {}",
+            run.isolate.max_bisect_depth
+        );
+        for (lin, cell) in cells.iter().enumerate() {
+            match cell {
+                Some(PairOutcome::Poisoned { exit }) => {
+                    assert_eq!(lin, 11, "only the chosen pair is poisoned");
+                    assert_eq!(*exit, WorkerExit::Protocol, "default reap verdict");
+                }
+                Some(PairOutcome::Score(s)) => assert_eq!(*s, (2 * lin) as f64, "pair {lin}"),
+                other => panic!("pair {lin}: {other:?}"),
+            }
         }
     }
 }

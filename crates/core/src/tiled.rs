@@ -4,10 +4,11 @@
 //! Every supervised matrix job runs here. The pair space is dealt into
 //! **tiles** ([`TileConfig::tile_pairs`] pairs each, derivable from a
 //! byte budget via [`TileConfig::with_memory_budget`]); each tile is
-//! computed on the configured engine — the in-process pool or the
-//! `sts-worker` subprocess fleet, per
-//! [`JobConfig::exec`](crate::job::JobConfig::exec) — and the cells are
-//! stream-merged tile by tile into the caller's sink.
+//! computed on the configured engine — the in-process pool, or one
+//! `sts-worker` fleet per job under the lease coordinator in
+//! [`crate::shard`], per [`JobConfig::exec`](crate::job::JobConfig::exec)
+//! — and the cells are stream-merged tile by tile into the caller's
+//! sink.
 //! [`Sts::similarity_matrix_supervised`] is the engine with no tiling:
 //! one whole-space tile held in memory, scored by one pool run over
 //! `chunk_pairs` chunks, with no storage, no tile encoding and no
@@ -44,17 +45,18 @@
 
 use crate::batch::{prepare_all, BatchReport, PairOutcome};
 use crate::job::{
-    is_terminal, job_fingerprint, job_telemetry, zeroed_stats, ExecMode, IsolateOptions, JobConfig,
-    JobError, JobReport,
+    is_terminal, job_fingerprint, job_telemetry, zeroed_stats, ExecMode, JobConfig, JobError,
+    JobReport,
 };
+use crate::shard::{FleetRun, ShardOptions};
 use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
 use crate::worker;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sts_isolate::{IsolateConfig, WorkerSpec};
 use sts_obs::trace;
 use sts_runtime::pool::{run_supervised_with, ChunkStatus, PoolConfig};
 use sts_runtime::{
@@ -147,14 +149,16 @@ struct JobCtx<'a> {
     // 256-taxi matrix benchmark.
     prepared_c: Vec<Option<PreparedTrajectory>>,
     prepared_q: Vec<Option<PreparedTrajectory>>,
-    /// Resolved subprocess execution, when `cfg.exec` asks for it.
-    sub: Option<SubExec<'a>>,
+    /// The worker fleet, when `cfg.exec` asks for one.
+    fleet: Option<Fleet>,
 }
 
-/// Resolved subprocess execution context, prepared once per job.
-struct SubExec<'a> {
-    opts: &'a IsolateOptions,
-    program: PathBuf,
+/// A job's worker fleet, resolved once per job: the coordinator's
+/// options, whether crash attribution is on (`Subprocess`), and the
+/// preamble every worker starts from.
+struct Fleet {
+    opts: ShardOptions,
+    attribute: bool,
     preamble: Vec<String>,
 }
 
@@ -336,18 +340,21 @@ impl Sts {
             )
         };
 
-        // Resolve subprocess execution up front so a missing worker
-        // fails fast, before any tile I/O.
-        let sub: Option<SubExec<'_>> = match &cfg.exec {
+        // Resolve the worker fleet up front so a missing worker fails
+        // fast, before any tile I/O: the measure must be
+        // wire-describable, and the process launcher needs an actual
+        // worker binary. (Custom launchers bring their own workers.)
+        let fleet = match &cfg.exec {
             ExecMode::InProcess => None,
-            ExecMode::Sharded(sopts) => {
-                // Fail fast like Subprocess: the measure must be
-                // wire-describable, and the process launcher needs an
-                // actual worker binary. (Custom launchers bring their
-                // own workers.)
-                self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-                if sopts.launcher.is_none() {
-                    let program = sopts
+            ExecMode::Sharded(opts) => Some((opts.clone(), false)),
+            ExecMode::Subprocess(opts) => Some((opts.fleet_options(cfg.threads), true)),
+        };
+        let fleet = match fleet {
+            None => None,
+            Some((opts, attribute)) => {
+                let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
+                if opts.launcher.is_none() {
+                    let program = opts
                         .worker
                         .clone()
                         .unwrap_or_else(worker::default_worker_path);
@@ -355,29 +362,19 @@ impl Sts {
                         return Err(JobError::WorkerMissing { path: program });
                     }
                 }
-                None
-            }
-            ExecMode::Subprocess(opts) => {
-                let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-                let program = opts
-                    .worker
-                    .clone()
-                    .unwrap_or_else(worker::default_worker_path);
-                if !program.is_file() {
-                    return Err(JobError::WorkerMissing { path: program });
-                }
-                Some(SubExec {
+                let preamble = worker::encode_preamble(
+                    spec,
+                    self.grid(),
+                    cfg,
+                    &space,
+                    queries,
+                    candidates,
+                    opts.hb_every,
+                );
+                Some(Fleet {
                     opts,
-                    program,
-                    preamble: worker::encode_preamble(
-                        spec,
-                        self.grid(),
-                        cfg,
-                        &space,
-                        queries,
-                        candidates,
-                        0,
-                    ),
+                    attribute,
+                    preamble,
                 })
             }
         };
@@ -403,12 +400,16 @@ impl Sts {
             space,
             prepared_q,
             prepared_c,
-            sub,
+            fleet,
         };
 
         // ---- Phase A: resume what is on disk, compute the rest. ----
         let mut tally = Tally {
-            isolate: ctx.sub.as_ref().map(|_| IsolateStats::default()),
+            isolate: ctx
+                .fleet
+                .as_ref()
+                .filter(|f| f.attribute)
+                .map(|_| IsolateStats::default()),
             ..Tally::default()
         };
         let mut sources: Vec<TileSource> = tiles.iter().map(|_| TileSource::Skipped).collect();
@@ -446,43 +447,56 @@ impl Sts {
             }
         }
 
-        if let (ExecMode::Sharded(sopts), Some(store)) = (&cfg.exec, &store) {
-            // Deal the pending tiles to the worker fleet under leases
-            // and spill each commit as it lands.
-            let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-            let preamble = worker::encode_preamble(
-                spec,
-                self.grid(),
-                cfg,
-                &ctx.space,
-                queries,
-                candidates,
-                sopts.hb_every,
-            );
-            let run = crate::shard::run_sharded(
+        if let Some(fleet) = &ctx.fleet {
+            // Deal every pending tile to the worker fleet in one
+            // coordinator run, and spill each tile as its last pair
+            // resolves.
+            let (run, partial) = self.fleet_tiles(
+                &ctx,
                 &tiles,
                 &todo,
-                &preamble,
-                sopts,
-                &cfg.cancel,
-                cfg.budget,
-                &mut |idx, outs| {
+                new_pairs,
+                &mut tally,
+                &mut |idx, outs, open_cells| {
                     let tile = &tiles[idx];
-                    tstats.max_resident_cells =
-                        tstats.max_resident_cells.max(resident_fallback + tile.len);
+                    tstats.max_resident_cells = tstats
+                        .max_resident_cells
+                        .max(resident_fallback + open_cells);
                     tstats.tiles_computed += 1;
                     new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
-                    sources[idx] =
-                        spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback);
+                    sources[idx] = match &store {
+                        Some(store) => {
+                            spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback)
+                        }
+                        None => {
+                            resident_fallback += tile.len;
+                            TileSource::Memory(outs)
+                        }
+                    };
                 },
             );
+            // A stopped run's partial tiles are never spilled.
+            for (idx, outs) in partial {
+                new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
+                resident_fallback += tiles[idx].len;
+                sources[idx] = TileSource::Memory(outs);
+            }
             stop_reason = run.stop;
             fleet_telemetry = Some(run.telemetry);
-            shard_stats = Some(run.stats);
-            // Whatever the fleet could not finish — it was exhausted,
-            // rejected the handshake, or the run stopped — degrades to
-            // the in-process engine. A dead fleet never loses a job.
-            todo = run.leftover;
+            if !fleet.attribute {
+                shard_stats = Some(run.stats);
+            }
+            // Whatever a sharded fleet could not finish — it was
+            // exhausted, rejected the handshake, or the run stopped —
+            // degrades to the in-process engine. A dead fleet never
+            // loses a job. (With attribution on, a lost fleet has
+            // stopped the run, so nothing below computes locally.)
+            todo = run
+                .leftover
+                .iter()
+                .map(|unit| tiles.partition_point(|t| t.range().end <= unit.start))
+                .collect();
+            todo.dedup();
         }
 
         for idx in todo {
@@ -523,7 +537,7 @@ impl Sts {
         let merge_span = trace::span("job.merge");
         let mut pairs_skipped = 0usize;
         let mut pairs_failed = 0usize;
-        for (tile, source) in tiles.iter().zip(sources) {
+        for (idx, (tile, source)) in tiles.iter().zip(sources).enumerate() {
             let outs = match (source, &store) {
                 (TileSource::Memory(outs), _) => {
                     resident_fallback = resident_fallback.saturating_sub(tile.len);
@@ -548,7 +562,7 @@ impl Sts {
                                 vec![PairOutcome::Skipped; tile.len]
                             } else {
                                 let (outs, stop) =
-                                    self.compute_tile(&ctx, tile, new_pairs, &mut tally);
+                                    self.recompute_tile(&ctx, &tiles, idx, new_pairs, &mut tally);
                                 tstats.tiles_computed += 1;
                                 new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
                                 stop_reason = stop;
@@ -642,7 +656,121 @@ impl Sts {
         })
     }
 
-    /// Computes one tile's slab on the configured engine, with whatever
+    /// Runs the `todo` tiles on the job's worker fleet, in one
+    /// coordinator run ([`crate::shard`]) with whatever budget is left
+    /// after `done_pairs`: a sharded fleet is dealt whole tiles, a
+    /// crash-attributing one their `chunk_pairs` chunks.
+    /// `on_tile(idx, outs, open_cells)` receives each tile as soon as
+    /// its last pair resolves, with the cells held open at that moment.
+    /// Returns the run and the tiles it left partial, dense with
+    /// `Skipped` where unresolved.
+    fn fleet_tiles(
+        &self,
+        ctx: &JobCtx<'_>,
+        tiles: &[PairChunk],
+        todo: &[usize],
+        done_pairs: usize,
+        tally: &mut Tally,
+        on_tile: &mut dyn FnMut(usize, Vec<PairOutcome>, usize),
+    ) -> (FleetRun, Vec<(usize, Vec<PairOutcome>)>) {
+        let fleet = ctx.fleet.as_ref().expect("the job has a fleet");
+        let chunk_pairs = ctx.cfg.chunk_pairs;
+        let units: Vec<PairChunk> = if fleet.attribute {
+            let mut chunks = Vec::new();
+            for &idx in todo {
+                let first_id = tally.chunks_total + chunks.len();
+                chunks.extend(chunk_tile(&tiles[idx], chunk_pairs, first_id));
+            }
+            tally.chunks_total += chunks.len();
+            chunks
+        } else {
+            todo.iter().map(|&idx| tiles[idx]).collect()
+        };
+        // Chunk accounting counts fully-resolved chunks, and only for
+        // a fleet that is dealt chunks.
+        let resolved_chunks = |tile: &PairChunk, outs: &[PairOutcome]| {
+            if !fleet.attribute {
+                return 0;
+            }
+            chunk_tile(tile, chunk_pairs, 0)
+                .iter()
+                .filter(|c| c.range().all(|lin| is_terminal(&outs[lin - tile.start])))
+                .count()
+        };
+        let mut open: BTreeMap<usize, (Vec<PairOutcome>, usize)> = BTreeMap::new();
+        let mut open_cells = 0usize;
+        let run = crate::shard::run_fleet(
+            &units,
+            &fleet.preamble,
+            &fleet.opts,
+            fleet.attribute,
+            &ctx.cfg.cancel,
+            remaining_budget(ctx.cfg, done_pairs),
+            &mut |unit, outs| {
+                let idx = tiles.partition_point(|t| t.range().end <= unit.start);
+                let tile = &tiles[idx];
+                let (cells, unresolved) = open.entry(idx).or_insert_with(|| {
+                    open_cells += tile.len;
+                    (vec![PairOutcome::Skipped; tile.len], tile.len)
+                });
+                for (lin, outcome) in unit.range().zip(outs) {
+                    cells[lin - tile.start] = outcome;
+                }
+                *unresolved -= unit.len;
+                if *unresolved == 0 {
+                    let (cells, _) = open.remove(&idx).expect("tile is open");
+                    tally.chunks_completed += resolved_chunks(tile, &cells);
+                    on_tile(idx, cells, open_cells);
+                    open_cells -= tile.len;
+                }
+            },
+        );
+        let partial = open
+            .into_iter()
+            .map(|(idx, (cells, _))| {
+                tally.chunks_completed += resolved_chunks(&tiles[idx], &cells);
+                (idx, cells)
+            })
+            .collect();
+        if let Some(iso) = tally.isolate.as_mut() {
+            iso.workers_spawned += run.isolate.workers_spawned;
+            iso.worker_restarts += run.isolate.worker_restarts;
+            iso.worker_kills += run.isolate.worker_kills;
+            iso.protocol_errors += run.isolate.protocol_errors;
+            iso.pairs_poisoned += run.isolate.pairs_poisoned;
+            iso.max_bisect_depth = iso.max_bisect_depth.max(run.isolate.max_bisect_depth);
+        }
+        (run, partial)
+    }
+
+    /// Computes tile `idx` again after it decayed on disk mid-job, with
+    /// whatever budget is left after `done_pairs`: on the fleet when
+    /// crash attribution is on — the tile may hold pairs that kill
+    /// workers, and this process must not run them — in-process
+    /// otherwise.
+    fn recompute_tile(
+        &self,
+        ctx: &JobCtx<'_>,
+        tiles: &[PairChunk],
+        idx: usize,
+        done_pairs: usize,
+        tally: &mut Tally,
+    ) -> (Vec<PairOutcome>, Option<StopReason>) {
+        if !ctx.fleet.as_ref().is_some_and(|f| f.attribute) {
+            return self.compute_tile(ctx, &tiles[idx], done_pairs, tally);
+        }
+        let mut done = None;
+        let (run, mut partial) =
+            self.fleet_tiles(ctx, tiles, &[idx], done_pairs, tally, &mut |_, outs, _| {
+                done = Some(outs)
+            });
+        let outs = done
+            .or_else(|| partial.pop().map(|(_, outs)| outs))
+            .unwrap_or_else(|| vec![PairOutcome::Skipped; tiles[idx].len]);
+        (outs, run.stop)
+    }
+
+    /// Computes one tile's slab on the in-process pool, with whatever
     /// budget is left after the `done_pairs` this run already computed
     /// (the deadline is absolute, so it carries over unchanged).
     /// Returns dense outcomes (`Skipped` where the engine stopped
@@ -655,63 +783,10 @@ impl Sts {
         tally: &mut Tally,
     ) -> (Vec<PairOutcome>, Option<StopReason>) {
         let cfg = ctx.cfg;
-        let remaining = Budget {
-            deadline: cfg.budget.deadline,
-            max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(done_pairs)),
-        };
+        let remaining = remaining_budget(cfg, done_pairs);
         let chunks = chunk_tile(tile, cfg.chunk_pairs, tally.chunks_total);
         tally.chunks_total += chunks.len();
         let mut outs = vec![PairOutcome::Skipped; tile.len];
-
-        if let Some(sub) = &ctx.sub {
-            let iso = IsolateConfig {
-                worker: WorkerSpec {
-                    program: sub.program.clone(),
-                    args: vec!["serve".to_string()],
-                    envs: Vec::new(),
-                },
-                workers: cfg.threads,
-                hard_timeout: sub.opts.hard_timeout,
-                ready_timeout: sub.opts.ready_timeout,
-                restart_budget: sub.opts.restart_budget,
-                poison_attempts: sub.opts.poison_attempts,
-                budget: remaining,
-                cancel: cfg.cancel.clone(),
-                ..IsolateConfig::default()
-            };
-            let run = sts_isolate::supervise(&chunks, &iso, &sub.preamble, |_chunk, payload| {
-                // The supervisor validated the framing; a payload that
-                // is not a record set would be a worker bug — leave
-                // those cells skipped rather than guessing.
-                let Some(parsed) = worker::decode_result_payload(payload) else {
-                    return;
-                };
-                for (lin, outcome) in parsed {
-                    if tile.range().contains(&lin) {
-                        outs[lin - tile.start] = outcome;
-                    }
-                }
-            });
-            // Crash-attribution verdicts: quarantine each poison pair
-            // with its worker's exit.
-            for p in &run.poisoned {
-                if tile.range().contains(&p.lin) {
-                    outs[p.lin - tile.start] = PairOutcome::Poisoned { exit: p.exit };
-                }
-            }
-            tally.chunks_completed += chunks
-                .iter()
-                .filter(|c| c.range().all(|lin| is_terminal(&outs[lin - tile.start])))
-                .count();
-            let iso_stats = tally.isolate.get_or_insert_with(IsolateStats::default);
-            iso_stats.workers_spawned += run.workers_spawned;
-            iso_stats.worker_restarts += run.worker_restarts;
-            iso_stats.worker_kills += run.worker_kills;
-            iso_stats.protocol_errors += run.protocol_errors;
-            iso_stats.pairs_poisoned += run.poisoned.len();
-            iso_stats.max_bisect_depth = iso_stats.max_bisect_depth.max(run.max_bisect_depth);
-            return (outs, run.stop);
-        }
 
         let cell_retries = &tally.cell_retries;
         let work =
@@ -904,9 +979,8 @@ fn from_record(rec: CellRecord) -> PairOutcome {
 
 /// Deals one tile's slab into scheduling chunks of `chunk_pairs`
 /// (clamped to ≥ 1), numbered on from `first_id`, with linear indices
-/// absolute in the full pair space — a subprocess worker scores
-/// whatever slab it is sent, so the chunks must speak the global
-/// coordinate system.
+/// absolute in the full pair space — a worker scores whatever slab it
+/// is sent, so the chunks must speak the global coordinate system.
 fn chunk_tile(tile: &PairChunk, chunk_pairs: usize, first_id: usize) -> Vec<PairChunk> {
     let size = chunk_pairs.max(1);
     let n = tile.len.div_ceil(size);
@@ -917,6 +991,15 @@ fn chunk_tile(tile: &PairChunk, chunk_pairs: usize, first_id: usize) -> Vec<Pair
             len: size.min(tile.len - k * size),
         })
         .collect()
+}
+
+/// The job budget left after `done_pairs` computed pairs (the deadline
+/// is absolute, so it carries over unchanged).
+fn remaining_budget(cfg: &JobConfig, done_pairs: usize) -> Budget {
+    Budget {
+        deadline: cfg.budget.deadline,
+        max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(done_pairs)),
+    }
 }
 
 /// Cancellation and global-budget check before the job and between

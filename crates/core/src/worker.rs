@@ -1,8 +1,8 @@
 //! The STS worker subprocess: preamble codec and serve loop.
 //!
 //! [`sts_isolate`] moves chunks and opaque payloads; this module gives
-//! those payloads their STS meaning. The supervisor side
-//! ([`crate::job`], `ExecMode::Subprocess`) encodes the whole job —
+//! those payloads their STS meaning. The coordinator side
+//! ([`crate::shard`], both fleet modes) encodes the whole job —
 //! measure config, grid, retry policy, fault plan, matrix dims and
 //! both trajectory sides — as *preamble* frames; the worker side
 //! ([`serve`]) decodes them, rebuilds the identical [`Sts`], prepares
@@ -13,7 +13,7 @@
 //! by [`sts_isolate::protocol`]):
 //!
 //! ```text
-//! supervisor → worker (preamble, then `begin`):
+//! coordinator → worker (preamble, then `begin`):
 //!   hello <version> <fingerprint:016x> <hb_every>
 //!   trace <trace_id:016x> <parent_span> <span_base> <ship_spans>   (optional)
 //!   measure <full|no-noise> <sigma> <kernel> <trunc|none> <off|exact|lattice:<dt>>
@@ -23,20 +23,20 @@
 //!   dims <rows> <cols>
 //!   traj <q|c> <index> <npoints> (<x> <y> <t>)*
 //!   begin
-//! worker → supervisor:
+//! worker → coordinator:
 //!   ready [<worker_now_ns>]          (clock origin echoed iff `trace` was sent)
 //!   | reject version <got> <want>
 //!   | reject fingerprint <computed:016x> <claimed:016x>
-//! supervisor → worker (per chunk):
+//! coordinator → worker (per chunk):
 //!   chunk <req_id> <start> <len>
-//! worker → supervisor (heartbeats only when hb_every > 0):
+//! worker → coordinator (heartbeats only when hb_every > 0):
 //!   hb <req_id> <pairs_done>
 //!   tstat <seq> (c <name> <v> | g <name> <v> | h <name> ...)*      (iff `trace` was sent)
 //!   tspan <seq> <n> (<id> <parent> <name> <thread> <start> <dur>)* (iff ship_spans)
 //!   result <req_id> <n> (<lin> s <score> | <lin> f <attempts> | <lin> p | <lin> q)*
-//! supervisor → worker (end of run):
+//! coordinator → worker (end of run):
 //!   shutdown
-//! worker → supervisor (final telemetry flush, iff `trace` was sent):
+//! worker → coordinator (final telemetry flush, iff `trace` was sent):
 //!   tstat ... [tspan ...] bye <trace_id:016x>
 //! ```
 //!
@@ -52,8 +52,8 @@
 //! duplicates self-heal) and a drained span buffer (`tspan`, span ids
 //! pre-shifted by `span_base`, roots re-parented under `parent_span`)
 //! to every result, and flushes both once more before `bye` on clean
-//! exit. Without the frame the worker behaves exactly as v2: the
-//! stdio subprocess path and hand-rolled drivers see no new frames.
+//! exit. Without the frame the worker behaves exactly as v2:
+//! hand-rolled drivers see no new frames.
 //!
 //! The `hello` handshake makes version or corpus skew a *typed*
 //! rejection instead of undefined scoring: the worker recomputes the
@@ -69,7 +69,7 @@
 //! is bit-identical to its in-process twin. Injected
 //! [`Fault::GarbageOutput`](sts_runtime::Fault) pairs make the worker
 //! replace the chunk's result frame with unframed noise — the
-//! supervisor's protocol validation, not this module, turns that into
+//! coordinator's protocol validation, not this module, turns that into
 //! a quarantine.
 
 use crate::job::JobConfig;
@@ -144,8 +144,8 @@ fn kernel_from_token(s: &str) -> Option<Kernel> {
 /// contributes the retry policy and fault plan the worker must apply
 /// so in-process and subprocess cells take identical code paths.
 /// `hb_every` asks the worker to emit `hb` heartbeat frames every that
-/// many scored pairs inside a chunk (0 disables them — the stdio
-/// supervisor path, whose per-chunk hard timeout covers liveness).
+/// many scored pairs inside a chunk (0 disables them — `Subprocess`
+/// fleets, whose hard timeout is the lease timeout).
 pub(crate) fn encode_preamble(
     spec: &MeasureSpec,
     grid: &Grid,
@@ -228,7 +228,7 @@ pub(crate) fn encode_preamble(
 /// Why a worker's serve loop gave up.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The supervisor's bytes do not form valid frames (or the stream
+    /// The coordinator's bytes do not form valid frames (or the stream
     /// ended mid-preamble).
     Protocol(ProtocolError),
     /// The preamble does not describe a runnable job.
@@ -284,7 +284,7 @@ struct JobSpec {
     candidates: Vec<Option<Trajectory>>,
     // Shapes are recorded from the *raw decoded points*, independently
     // of Trajectory construction, so the fingerprint check sees exactly
-    // what the supervisor hashed.
+    // what the coordinator hashed.
     q_shapes: Vec<Option<crate::job::TrajShape>>,
     c_shapes: Vec<Option<crate::job::TrajShape>>,
 }
@@ -536,12 +536,13 @@ struct WorkerState {
 }
 
 /// Runs the worker side of the protocol over the given streams until
-/// `shutdown` or clean EOF. This is what the `sts-worker` binary wraps
-/// around locked stdin/stdout; tests drive it over in-memory pipes.
+/// `shutdown` or clean EOF. The `sts-worker` binary runs it over its
+/// loopback socket to the coordinator; tests drive it over in-memory
+/// buffers and in-thread sockets.
 ///
 /// Faults from the preamble's plan are *executed* here: aborts and
 /// wedges kill or hang this process (that is the point — the
-/// supervisor contains them), and a [`Fault::GarbageOutput`] pair
+/// coordinator contains them), and a [`Fault::GarbageOutput`] pair
 /// makes the worker emit unframed noise instead of its chunk's result
 /// frame.
 pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), ServeError> {
@@ -580,7 +581,7 @@ pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), 
         let frame = match read_frame(input) {
             Ok(f) => f,
             Err(ProtocolError::Eof) => {
-                // The supervisor hung up; flush telemetry best-effort
+                // The coordinator hung up; flush telemetry best-effort
                 // (the write side may be gone too).
                 drop(serve_span);
                 if let Some(sh) = shipper.as_mut() {

@@ -34,6 +34,7 @@ use sts_geo::{BoundingBox, Grid, Point};
 use sts_isolate::{NetDirection, NetFault};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_robust::{NetChaos, NetFaultPlan};
+use sts_runtime::{Budget, FaultPlan, JobState};
 use sts_traj::{TrajPoint, Trajectory};
 
 const N_TRAJECTORIES: usize = 16;
@@ -375,4 +376,58 @@ fn lossy_chaos_recovers_through_leases_and_restarts() {
         expired > 0,
         "lossy chaos never engaged lease expiry or worker restart"
     );
+}
+
+/// A worker that answers every tile with garbage — a `FaultPlan`
+/// garbage pair, which the preamble hands to sharded workers too — is
+/// lost on its second garbage frame for the same lease, not re-dealt
+/// that tile forever. Its respawns burn the restart budget, and the
+/// exhausted fleet hands the tile to local compute, where garbage is
+/// inert: the job completes bit-identical to an in-process run.
+#[test]
+fn garbage_answering_worker_is_lost_not_re_dealt_forever() {
+    let sts = Sts::new(StsConfig::default(), grid());
+    let queries = corpus(0x6A5B, 2);
+    let candidates = corpus(0x6A5C, 2);
+    let fault = Some(FaultPlan {
+        garbage_per_mille: 1000,
+        ..FaultPlan::default()
+    });
+    let reference_cfg = JobConfig {
+        fault: fault.clone(),
+        ..JobConfig::default()
+    };
+    let (reference, _) = sts
+        .similarity_matrix_supervised(&queries, &candidates, &reference_cfg)
+        .unwrap();
+
+    let tiles = TempTiles::new("garbage");
+    let tiling = TileConfig {
+        tile_pairs: 4,
+        ..TileConfig::new(&tiles.0)
+    };
+    let cfg = JobConfig {
+        // A hang guard only: a fleet that re-deals forever ends here.
+        budget: Budget::with_deadline(Duration::from_secs(5)),
+        fault,
+        exec: ExecMode::Sharded(ShardOptions {
+            workers: 1,
+            lease_timeout: LEASE,
+            ready_timeout: Duration::from_millis(800),
+            restart_budget: 2,
+            backoff_base: Duration::from_micros(50),
+            backoff_cap: Duration::from_micros(500),
+            launcher: Some(Arc::new(ThreadLauncher)),
+            ..ShardOptions::default()
+        }),
+        ..JobConfig::default()
+    };
+    let (sharded, report) = sts
+        .similarity_matrix_tiled(&queries, &candidates, &cfg, &tiling)
+        .unwrap();
+    assert_eq!(report.stats.state, JobState::Complete, "{report}");
+    assert_eq!(matrix_bits(&sharded), matrix_bits(&reference));
+    let shard = report.stats.shard.expect("sharded job reports ShardStats");
+    assert_eq!(shard.tiles_local_fallback, 1, "{shard:?}");
+    assert_eq!(shard.worker_restarts, 2, "{shard:?}");
 }

@@ -6,8 +6,8 @@
 //! whitespace-free token (`code:1`, `signal:6`, `hard-timeout`,
 //! `protocol`), which is what the tile `x` record and the job report
 //! print. It lives in `sts-runtime` — below both the tile codec and
-//! the `sts-isolate` supervisor — so the two agree on one type without
-//! a dependency cycle.
+//! `sts-core`'s worker-fleet coordinator — so the two agree on one type
+//! without a dependency cycle.
 
 use std::fmt;
 use std::str::FromStr;

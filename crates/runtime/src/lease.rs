@@ -87,6 +87,13 @@ impl LeaseTable {
         self.states.is_empty()
     }
 
+    /// Appends one pending tile and returns its index (crash
+    /// attribution splits a lost unit into new ones).
+    pub fn add(&mut self) -> usize {
+        self.states.push(TileState::Pending);
+        self.states.len() - 1
+    }
+
     /// Grants a lease on `tile`, superseding any live lease it had
     /// (the old epoch becomes stale immediately). Returns the new
     /// epoch, or `None` when the tile is already committed.

@@ -23,7 +23,7 @@ pub enum JobState {
     DeadlineExceeded,
     /// Stopped by the max-pairs budget.
     BudgetExhausted,
-    /// Stopped because the subprocess supervisor's worker-restart
+    /// Stopped because the subprocess fleet's worker-restart
     /// budget ran out (workers were dying faster than work completed).
     WorkersExhausted,
     /// Stopped because a worker refused the job handshake (protocol

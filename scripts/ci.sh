@@ -70,12 +70,15 @@ run_seeded "runtime unit tests" cargo test -p sts-runtime -q --offline
 run_seeded "job lifecycle suite" cargo test -p sts-core -q --offline --test job_lifecycle
 run_seeded "supervised chaos suite" cargo test -p sts-robust -q --offline --test supervised_chaos
 
-# Process-isolation gate: the sts-isolate supervisor units, the worker
-# wire-protocol suite, and the crash suite — real worker processes
-# aborted, wedged, SIGKILLed and garbled, with poison-pair attribution
-# compared against the fault plan's prediction, across fixed seeds.
+# Process-isolation gate: the sts-isolate frame protocol and transport
+# units, the lease coordinator's units (crash attribution by bisection,
+# garbage and fleet-exhaustion handling), and the crash suite — real
+# worker processes aborted, wedged, SIGKILLed and garbled, with
+# poison-pair attribution compared against the fault plan's
+# prediction, across fixed seeds.
 echo "== isolation (worker supervision + crash suite; fixed seeds) =="
-run_seeded "isolate unit tests" cargo test -p sts-isolate -q --offline
+run_seeded "isolate protocol + transport tests" cargo test -p sts-isolate -q --offline
+run_seeded "coordinator unit tests" cargo test -p sts-core -q --offline --lib shard::
 run_seeded "isolation crash suite" cargo test -p sts-repro -q --offline --test isolation
 
 # Out-of-core tiling gate: the disk-chaos suite (seeded torn writes,

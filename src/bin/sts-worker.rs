@@ -3,12 +3,11 @@
 //!
 //! Subcommands:
 //!
-//! - `serve` (or no argument): speak the `sts-isolate` wire protocol on
-//!   stdin/stdout and score chunks until EOF or `shutdown`. This is the
-//!   binary [`sts_core::ExecMode::Subprocess`] jobs spawn.
-//! - `serve-tcp <addr>`: connect to the sharded coordinator at `addr`
-//!   (loopback TCP) and speak the same wire protocol over the socket.
-//!   This is the binary [`sts_core::ExecMode::Sharded`] fleets spawn.
+//! - `serve-tcp <addr>`: connect to the worker-fleet coordinator at
+//!   `addr` (loopback TCP), speak the `sts-isolate` wire protocol over
+//!   the socket and score chunks until `shutdown` or EOF. This is the
+//!   binary both [`sts_core::ExecMode::Subprocess`] and
+//!   [`sts_core::ExecMode::Sharded`] fleets spawn.
 //! - `chaos <in-process|subprocess> <seed>`: run the 8×8 crash-suite
 //!   workload whose fault plan aborts, wedges and garbles workers.
 //!   Subprocess mode finishes with only the poison pairs quarantined;
@@ -37,14 +36,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
     match argv.as_slice() {
-        [] | ["serve"] => run_serve(),
         ["serve-tcp", addr] => run_serve_tcp(addr),
         ["chaos", mode, seed] => run_chaos(mode, seed),
         ["tile-drive", dir, seed, out] => run_tile_drive(dir, seed, out, false),
         ["tile-drive", dir, seed, out, "subprocess"] => run_tile_drive(dir, seed, out, true),
         _ => {
             eprintln!(
-                "usage: sts-worker [serve | serve-tcp <addr> | chaos <mode> <seed> | \
+                "usage: sts-worker [serve-tcp <addr> | chaos <mode> <seed> | \
                  tile-drive <dir> <seed> <out> [subprocess]]"
             );
             ExitCode::from(2)
@@ -52,31 +50,16 @@ fn main() -> ExitCode {
     }
 }
 
-/// Serve the wire protocol until the supervisor hangs up. A protocol
-/// error (torn frame, dead pipe) is a nonzero exit the supervisor will
-/// see and attribute; it must not look like success.
+/// Connect out to the coordinator and serve the wire protocol over the
+/// socket until it hangs up. A protocol error (torn frame, dead
+/// socket) is a nonzero exit the coordinator will see and attribute;
+/// it must not look like success.
 ///
 /// `STS_TRACE`/`STS_METRICS` work here exactly as in the coordinator,
 /// with one twist: a file-path `STS_TRACE` gets `.<pid>` appended, so
 /// a worker inheriting its coordinator's environment streams its own
 /// trace JSONL to its own file (on top of whatever telemetry it ships
 /// over the wire) instead of truncating the coordinator's.
-fn run_serve() -> ExitCode {
-    sts_obs::init_from_env_suffixed(Some(&std::process::id().to_string()));
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match sts_core::serve(&mut stdin.lock(), &mut stdout.lock()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("sts-worker: {e}");
-            ExitCode::from(3)
-        }
-    }
-}
-
-/// Connect out to the sharded coordinator and serve the wire protocol
-/// over the socket until it hangs up. Same error contract as stdio
-/// serving: a protocol failure is a nonzero exit, never a fake success.
 fn run_serve_tcp(addr: &str) -> ExitCode {
     sts_obs::init_from_env_suffixed(Some(&std::process::id().to_string()));
     let stream = match std::net::TcpStream::connect(addr) {

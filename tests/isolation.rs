@@ -1,6 +1,6 @@
 //! The crash suite: end-to-end acceptance tests for process-isolated
 //! STS jobs (`ExecMode::Subprocess`) against real worker processes —
-//! real aborts, real wedges, real SIGKILLs, real garbage on the pipe.
+//! real aborts, real wedges, real SIGKILLs, real garbage on the socket.
 //!
 //! The workload is an 8×8 similarity matrix whose fault plan makes
 //! some pairs abort the process, wedge it forever, or corrupt its
@@ -252,7 +252,8 @@ fn in_process_mode_cannot_survive_the_chaos_plan() {
 }
 
 /// With no faults, subprocess mode is a pure transport: bit-identical
-/// scores to the in-process path, state Complete in both.
+/// scores to the in-process path, state Complete in both — untiled,
+/// and tiled on one fleet per job.
 #[test]
 fn subprocess_matches_in_process_bit_for_bit_on_a_clean_run() {
     let trajs = corpus(0xB17_E4AC7, 12);
@@ -280,6 +281,66 @@ fn subprocess_matches_in_process_bit_for_bit_on_a_clean_run() {
     assert_eq!(matrix_bits(&inproc), matrix_bits(&subproc));
     assert!(r2.stats.isolate.is_some());
     assert!(r1.stats.isolate.is_none());
+
+    // Nine 4-pair tiles on one thread: one worker serves them all.
+    let tmp = TempDir::new("one-fleet");
+    let tiling = TileConfig {
+        tile_pairs: 4,
+        ..TileConfig::new(tmp.path("tiles"))
+    };
+    let tiled_cfg = JobConfig { threads: 1, ..sub };
+    let (tiled, r3) = sts
+        .similarity_matrix_tiled(queries, candidates, &tiled_cfg, &tiling)
+        .unwrap();
+    assert_eq!(r3.stats.state, JobState::Complete);
+    assert_eq!(matrix_bits(&inproc), matrix_bits(&tiled));
+    let iso = r3
+        .stats
+        .isolate
+        .expect("subprocess job reports isolate stats");
+    assert_eq!(iso.workers_spawned, 1, "one fleet per job, not per tile");
+}
+
+/// A workload whose every pair kills its worker burns the restart
+/// budget and stops typed, the unresolved pairs skipped — never a crash
+/// loop, and never a fallback that runs the killers in-process.
+#[test]
+fn restart_budget_exhaustion_stops_instead_of_crash_looping() {
+    let trajs = corpus(0xDEAD, 8);
+    let (queries, candidates) = trajs.split_at(4);
+    let cfg = JobConfig {
+        retry: fast_retry(),
+        chunk_pairs: 2,
+        fault: Some(FaultPlan {
+            abort_per_mille: 1000,
+            ..FaultPlan::default()
+        }),
+        exec: ExecMode::Subprocess(IsolateOptions {
+            restart_budget: 2,
+            ..subprocess_opts()
+        }),
+        ..JobConfig::default()
+    };
+    let sts = Sts::new(StsConfig::default(), grid());
+    let (matrix, report) = sts
+        .similarity_matrix_supervised(queries, candidates, &cfg)
+        .unwrap();
+    assert_eq!(report.stats.state, JobState::WorkersExhausted);
+    assert!(report.stats.pairs_skipped > 0, "{report}");
+    for (lin, cell) in matrix.iter().flat_map(|r| r.iter()).enumerate() {
+        match cell {
+            PairOutcome::Skipped => {}
+            PairOutcome::Poisoned { exit } => {
+                assert!(matches!(exit, WorkerExit::Signal(_) | WorkerExit::Code(_)))
+            }
+            other => panic!("pair {lin} resolved past an aborting fault: {other:?}"),
+        }
+    }
+    let iso = report
+        .stats
+        .isolate
+        .expect("subprocess job reports isolate stats");
+    assert_eq!(iso.worker_restarts, 2, "the whole budget, no more");
 }
 
 /// A completed (degraded) subprocess job spills its poison cells to
